@@ -18,7 +18,7 @@ from .asymptotics import (
     matrix_element_pp_mm,
 )
 from .closed_form import ClosedFormParams, closed_form_params, negativity_tilde, pt_spectrum
-from .linalg import hermitian_eigen, hermitian_expm, svd3
+from .linalg import hermitian_eigen, svd3
 from .measures import (
     EntanglementReport,
     concurrence,
@@ -38,18 +38,14 @@ from .optimizer import (
     boundary_temperature,
     dn_dh_over_h,
     enhancement_curve,
-    negativity_for_fields,
     optimal_field,
     phase_diagram,
     verify_hypothesis1,
 )
 from .spin_model import (
     CanonicalCoupling,
-    InteractionEigensystem,
-    LocalField,
     build_hamiltonian,
     canonicalize,
-    interaction_eigensystem,
     is_canonical_diagonal,
     spectral_norm,
 )
@@ -63,8 +59,6 @@ __all__ = [
     "EntanglementReport",
     "HighTAsymptote",
     "Hypothesis1Report",
-    "InteractionEigensystem",
-    "LocalField",
     "LowTAsymptote",
     "NondegenerateCouplingError",
     "NumericalFailure",
@@ -81,10 +75,8 @@ __all__ = [
     "gibbs_state",
     "ground_state",
     "hermitian_eigen",
-    "hermitian_expm",
     "high_t_hop_exact",
     "high_t_leading",
-    "interaction_eigensystem",
     "is_canonical_diagonal",
     "is_density_matrix",
     "lambert_w_minus1",
@@ -93,7 +85,6 @@ __all__ = [
     "min_pt_eigenvalue",
     "necessary_condition",
     "negativity",
-    "negativity_for_fields",
     "negativity_tilde",
     "optimal_field",
     "partial_transpose",

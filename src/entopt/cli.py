@@ -90,9 +90,9 @@ def _beta_from_args(args) -> float:
     if t is not None:
         if t <= 0:
             raise UsageError("--temperature must be positive")
-        return 1.0 / t
-    if b <= 0:
-        raise UsageError("--beta must be positive")
+        b = 1.0 / t
+    if not 0.0 < b < math.inf:
+        raise UsageError(f"the inverse temperature must be positive and finite, got {b}")
     return b
 
 
@@ -246,7 +246,17 @@ def _grid_values(args) -> np.ndarray:
     return args.grid_min + args.grid_step * np.arange(n)
 
 
-def _phase_diagram_table(args) -> tuple:
+def _cmd_boundary(args) -> int:
+    c, warning = _canonical_from_args(args)
+    config = {"command": "boundary", "coupling": [c.jx, c.jy, c.jz]}
+    record = {"t_c": boundary_temperature(c)}
+    if warning:
+        record["warning"] = warning
+    _write_record(args, config, record)
+    return EXIT_OK
+
+
+def _cmd_phase_diagram(args) -> int:
     values = _grid_values(args)
     points = phase_diagram(values, values, args.sign_class)
     config = {
@@ -258,30 +268,6 @@ def _phase_diagram_table(args) -> tuple:
     }
     columns = ["jx_over_abs_jz", "jy_over_abs_jz", "t_c"]
     rows = [[p.jx_over_abs_jz, p.jy_over_abs_jz, p.t_c] for p in points]
-    return config, columns, rows
-
-
-def _cmd_boundary(args) -> int:
-    if args.grid_min is not None or args.grid_max is not None:
-        if args.grid_min is None or args.grid_max is None:
-            raise UsageError("grid mode needs both --grid-min and --grid-max")
-        if args.sign_class is None:
-            raise UsageError("grid mode needs --class {afm,fm}")
-        config, columns, rows = _phase_diagram_table(args)
-        config["command"] = "boundary"
-        _write_table(args, config, columns, rows)
-        return EXIT_OK
-    c, warning = _canonical_from_args(args)
-    config = {"command": "boundary", "coupling": [c.jx, c.jy, c.jz]}
-    record = {"t_c": boundary_temperature(c)}
-    if warning:
-        record["warning"] = warning
-    _write_record(args, config, record)
-    return EXIT_OK
-
-
-def _cmd_phase_diagram(args) -> int:
-    config, columns, rows = _phase_diagram_table(args)
     _write_table(args, config, columns, rows)
     return EXIT_OK
 
@@ -366,6 +352,8 @@ def _cmd_asymptote_compare(args) -> int:
 def _cmd_verify_hypothesis(args) -> int:
     j = _coupling_from_args(args)
     beta = _beta_from_args(args)
+    if args.restarts < 1 or args.seed < 0:
+        raise UsageError("--restarts must be at least 1 and --seed non-negative")
     report = verify_hypothesis1(j, beta, restarts=args.restarts, seed=args.seed)
     config = {
         "command": "verify-hypothesis",
@@ -457,13 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("boundary", help="boundary temperature T_c (scalar or grid)")
+    p = sub.add_parser("boundary", help="boundary temperature T_c of one coupling")
     _add_coupling_flags(p)
-    p.add_argument("--grid-min", type=float)
-    p.add_argument("--grid-max", type=float)
-    p.add_argument("--grid-step", type=float, default=1.0)
-    p.add_argument("--class", dest="sign_class", choices=["afm", "fm"])
-    _add_output_flags(p)
+    _add_output_flags(p, formats=())
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("phase-diagram", help="T_c over a grid of coupling ratios")
@@ -511,6 +495,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_model import CanonicalCoupling
+from .thermal import _validate_beta
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,10 @@ class ClosedFormParams:
     z: float
     log_scale: float = 0.0
 
-    def raw_values(self):
-        """(a1, a2, b1, b2, b3, z) without the scaling; may overflow at large beta."""
-        f = math.exp(self.log_scale)
-        return (self.a1 * f, self.a2 * f, self.b1 * f, self.b2 * f, self.b3 * f, self.z * f)
-
 
 def closed_form_params(c: CanonicalCoupling, h: float, beta: float) -> ClosedFormParams:
     """Evaluate the five closed-form scalars and the partition function."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"inverse temperature must be finite and positive, got {beta}")
+    beta = _validate_beta(beta)
     h = float(h)
     jx, jy, jz = c.jx, c.jy, c.jz
     jsum = jx + jy
@@ -81,19 +76,6 @@ def pt_spectrum(p: ClosedFormParams) -> np.ndarray:
     """
     rad = math.hypot(p.b2, p.b3)
     return np.array([p.a1 - abs(p.a2), p.a1 + abs(p.a2), p.b1 + rad, p.b1 - rad]) / p.z
-
-
-def pt_block_matrix(p: ClosedFormParams) -> np.ndarray:
-    """The closed-form rho^T1 matrix (normalized by Z) in the computational basis."""
-    m = np.array(
-        [
-            [p.a1, 0.0, 0.0, p.a2],
-            [0.0, p.b1 - p.b2, p.b3, 0.0],
-            [0.0, p.b3, p.b1 + p.b2, 0.0],
-            [p.a2, 0.0, 0.0, p.a1],
-        ]
-    )
-    return m / p.z
 
 
 def negativity_tilde(c: CanonicalCoupling, h: float, beta: float) -> float:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import zheevd
 
 # Shared tolerances; solvers and tests must agree on these.
 HERMITICITY_RTOL = 1e-12
-EIGEN_RESIDUAL_RTOL = 1e-10
-SVD_RTOL = 1e-12
 # Partial-transpose eigenvalues above this floor count as non-negative.
 PSD_EIGENVALUE_FLOOR = -1e-12
 
@@ -23,6 +22,7 @@ def hermiticity_defect(m) -> float:
 
 
 def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """M made exactly Hermitian, (M + M^dagger)/2, after checking it is Hermitian within rtol."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
@@ -34,7 +34,19 @@ def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NonHermitianError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}"
         )
-    return m
+    return (m + m.conj().T) / 2.0
+
+
+def _eigh(m, vectors: bool = True):
+    """(values, vectors) of a matrix Hermitian by construction, values ascending.
+
+    Calls LAPACK zheevd on the lower triangle, as numpy.linalg.eigh does, but
+    without numpy's per-call wrapper, which costs as much as a 4x4 solve.
+    """
+    values, v, info = zheevd(m, compute_v=vectors, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd failed with info = {info}")
+    return values, v
 
 
 def hermitian_eigen(m, rtol: float = HERMITICITY_RTOL):
@@ -43,15 +55,7 @@ def hermitian_eigen(m, rtol: float = HERMITICITY_RTOL):
     Returns (values, vectors) with values ascending and vectors as orthonormal
     columns. Non-Hermitian input is rejected with the measured defect norm.
     """
-    m = require_hermitian(m, rtol)
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
-
-
-def hermitian_expm(m) -> np.ndarray:
-    """exp(M) for Hermitian M, computed as V diag(e^lambda) V^dagger."""
-    values, vectors = hermitian_eigen(m)
-    e = (vectors * np.exp(values)) @ vectors.conj().T
-    return (e + e.conj().T) / 2.0
+    return _eigh(require_hermitian(m, rtol))
 
 
 def svd3(j):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_EIGENVALUE_FLOOR, hermitian_eigen
+from .linalg import PSD_EIGENVALUE_FLOOR, _eigh, hermitian_eigen, require_hermitian
 from .spin_model import SIGMA_Y
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -18,9 +18,24 @@ def partial_transpose(rho) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(2, 1, 0, 3)).reshape(4, 4)
 
 
+def _pt_spectrum(rho) -> np.ndarray:
+    """Ascending eigenvalues of rho^T1, without checks, for an exactly Hermitian rho."""
+    return _eigh(partial_transpose(rho), vectors=False)[0]
+
+
+def _negativity(lam_min: float) -> float:
+    return -2.0 * lam_min if lam_min < PSD_EIGENVALUE_FLOOR else 0.0
+
+
+def _pi(pt_values) -> float:
+    # det rho^T1 is the product of its eigenvalues
+    if pt_values[0] >= PSD_EIGENVALUE_FLOOR:
+        return 0.0
+    return 2.0 * abs(float(np.prod(pt_values))) ** 0.25
+
+
 def min_pt_eigenvalue(rho) -> float:
-    values, _ = hermitian_eigen(partial_transpose(rho))
-    return float(values[0])
+    return float(_pt_spectrum(require_hermitian(rho))[0])
 
 
 def negativity(rho) -> float:
@@ -29,10 +44,7 @@ def negativity(rho) -> float:
     The partial transpose of a two-qubit state has at most one negative
     eigenvalue, so this equals the trace-norm definition ||rho^T1||_1 - 1.
     """
-    lam = min_pt_eigenvalue(rho)
-    if lam < PSD_EIGENVALUE_FLOOR:
-        return -2.0 * lam
-    return 0.0
+    return _negativity(min_pt_eigenvalue(rho))
 
 
 def concurrence(rho) -> float:
@@ -43,7 +55,6 @@ def concurrence(rho) -> float:
     them from one SVD keeps the computation deterministic and avoids the
     precision loss of rooting near-zero eigenvalues.
     """
-    rho = np.asarray(rho, dtype=complex)
     values, vectors = hermitian_eigen(rho)
     s = np.sqrt(np.clip(values, 0.0, None))  # roundoff can leave tiny negatives
     sqrt_rho = (vectors * s) @ vectors.conj().T
@@ -54,12 +65,7 @@ def concurrence(rho) -> float:
 
 def pi_measure(rho) -> float:
     """Determinant-based quantifier: 2 |det rho^T1|^(1/4) when rho^T1 < 0, else 0."""
-    pt = partial_transpose(rho)
-    values, _ = hermitian_eigen(pt)
-    if values[0] >= PSD_EIGENVALUE_FLOOR:
-        return 0.0
-    det = float(np.real(np.linalg.det(pt)))
-    return 2.0 * abs(det) ** 0.25
+    return _pi(_pt_spectrum(require_hermitian(rho)))
 
 
 def necessary_condition(rho, atol: float = 1e-12) -> bool:
@@ -84,9 +90,13 @@ class EntanglementReport:
 
 
 def entanglement_report(rho) -> EntanglementReport:
+    """All three measures of one state from a single partial-transpose eigensolve."""
+    rho = require_hermitian(rho)
+    values = _pt_spectrum(rho)
+    lam = float(values[0])
     return EntanglementReport(
-        negativity=negativity(rho),
+        negativity=_negativity(lam),
         concurrence=concurrence(rho),
-        pi=pi_measure(rho),
-        min_pt_eigenvalue=min_pt_eigenvalue(rho),
+        pi=_pi(values),
+        min_pt_eigenvalue=lam,
     )

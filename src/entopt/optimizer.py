@@ -16,17 +16,15 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .closed_form import negativity_tilde
-from .linalg import PSD_EIGENVALUE_FLOOR
-from .measures import negativity
+from .measures import _negativity, _pt_spectrum
 from .spin_model import (
-    IDENTITY_2,
-    PAULI,
+    PAULI_BASIS,
     CanonicalCoupling,
     build_hamiltonian,
     canonicalize,
     spectral_norm,
 )
-from .thermal import gibbs_state, purity
+from .thermal import _gibbs, _validate_beta, gibbs_state, purity
 
 
 class NumericalFailure(RuntimeError):
@@ -126,8 +124,7 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     and the optimum sits exactly at zero field. High-temperature phase: the
     sign change on (0, h_max] is bracketed and refined with Brent's method.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"inverse temperature must be finite and positive, got {beta}")
+    beta = _validate_beta(beta)
 
     def stationarity(h):
         return _stationarity_scaled(c, h, beta)[0]
@@ -215,10 +212,6 @@ class EnhancementPoint:
     phase: str
 
 
-def _n_op_at(c: CanonicalCoupling, t: float) -> float:
-    return optimal_field(c, 1.0 / t).n_op
-
-
 def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     """Optimized vs zero-field negativity and purity along a temperature sweep.
 
@@ -236,8 +229,8 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
         )
         rho_zero, _ = gibbs_state(build_hamiltonian(c.diagonal), beta)
         dt = 1e-4 * t
-        n_plus = _n_op_at(c, t + dt)
-        n_minus = _n_op_at(c, t - dt)
+        n_plus = optimal_field(c, 1.0 / (t + dt)).n_op
+        n_minus = optimal_field(c, 1.0 / (t - dt)).n_op
         rows.append(
             EnhancementPoint(
                 t=t,
@@ -284,33 +277,14 @@ def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:
     return points
 
 
-def negativity_for_fields(j, fields, beta: float) -> float:
-    """Negativity of the Gibbs state for an arbitrary coupling and 6 field components."""
-    fields = np.asarray(fields, dtype=float)
-    h = build_hamiltonian(j, fields[:3], fields[3:])
-    rho, _ = gibbs_state(h, beta)
-    return negativity(rho)
-
-
-_FIELD_BASIS = np.stack(
-    [np.kron(s, IDENTITY_2).ravel() for s in PAULI]
-    + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
-)
-
-
 def _make_search_objective(j, beta: float):
-    """Fused -negativity(fields) evaluator; agrees with negativity_for_fields."""
-    h_int_flat = build_hamiltonian(j).ravel()
+    """-negativity of the Gibbs state as a function of the six field components."""
+    h_int = build_hamiltonian(j).ravel()
+    field_basis = PAULI_BASIS[9:]
 
     def objective(fields):
-        h = (h_int_flat + fields @ _FIELD_BASIS).reshape(4, 4)
-        values, vectors = np.linalg.eigh(h)
-        weights = np.exp(-beta * (values - values[0]))
-        weights /= weights.sum()
-        rho = (vectors * weights) @ vectors.conj().T
-        pt = rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-        lam = float(np.linalg.eigvalsh(pt)[0])
-        return 2.0 * lam if lam < PSD_EIGENVALUE_FLOOR else 0.0
+        rho, _ = _gibbs((h_int + fields @ field_basis).reshape(4, 4), beta)
+        return -_negativity(float(_pt_spectrum(rho)[0]))
 
     return objective
 

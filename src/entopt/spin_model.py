@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +15,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Precomputed tensor-product bases for fast Hamiltonian assembly.
-_PAIR_BASIS = np.array([[np.kron(a, b) for b in PAULI] for a in PAULI])
-_SPIN1_BASIS = np.array([np.kron(s, IDENTITY_2) for s in PAULI])
-_SPIN2_BASIS = np.array([np.kron(IDENTITY_2, s) for s in PAULI])
+# Flattened operators whose real coefficients assemble every Hamiltonian:
+# rows 0-8 are s1^a s2^b (row-major in a, b), rows 9-11 s1^a and 12-14 s2^a.
+PAULI_BASIS = np.array(
+    [np.kron(a, b).ravel() for a in PAULI for b in PAULI]
+    + [np.kron(s, IDENTITY_2).ravel() for s in PAULI]
+    + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
+)
 
 _CANONICAL_ATOL = 1e-12
 
@@ -40,47 +44,8 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
     length-3 coupling is treated as the diagonal (Jx, Jy, Jz).
     """
     j = _as_coupling_matrix(j)
-    h = np.tensordot(j, _PAIR_BASIS, axes=([0, 1], [0, 1]))
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if np.any(h1) or np.any(h2):
-        h = h + np.tensordot(h1, _SPIN1_BASIS, axes=(0, 0))
-        h = h + np.tensordot(h2, _SPIN2_BASIS, axes=(0, 0))
-    return h
-
-
-@dataclass
-class LocalField:
-    """Local field vectors on the two spins, with the mean/imbalance views."""
-
-    h1: np.ndarray
-    h2: np.ndarray
-
-    def __post_init__(self):
-        self.h1 = np.asarray(self.h1, dtype=float)
-        self.h2 = np.asarray(self.h2, dtype=float)
-        if self.h1.shape != (3,) or self.h2.shape != (3,):
-            raise ValueError("local fields must be length-3 vectors")
-        if not (np.all(np.isfinite(self.h1)) and np.all(np.isfinite(self.h2))):
-            raise ValueError("local fields must be finite")
-
-    @classmethod
-    def opposed_z(cls, h: float) -> "LocalField":
-        return cls(np.array([0.0, 0.0, h]), np.array([0.0, 0.0, -h]))
-
-    @property
-    def h(self) -> float:
-        return 0.5 * (np.linalg.norm(self.h1) + np.linalg.norm(self.h2))
-
-    @property
-    def zeta(self) -> float:
-        """Imbalance (|h1|-|h2|)/(|h1|+|h2|); 0 for vanishing fields."""
-        m1 = np.linalg.norm(self.h1)
-        m2 = np.linalg.norm(self.h2)
-        total = m1 + m2
-        if total == 0.0:
-            return 0.0
-        return (m1 - m2) / total
+    fields = np.concatenate((np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)))
+    return (np.concatenate((j.ravel(), fields)) @ PAULI_BASIS).reshape(4, 4)
 
 
 def is_canonical_diagonal(jx: float, jy: float, jz: float, atol: float = _CANONICAL_ATOL) -> bool:
@@ -106,14 +71,13 @@ class CanonicalCoupling:
     r1: np.ndarray = field(default_factory=lambda: np.eye(3))
     r2: np.ndarray = field(default_factory=lambda: np.eye(3))
 
-    @classmethod
-    def from_diagonal(cls, jx: float, jy: float, jz: float) -> "CanonicalCoupling":
-        if not is_canonical_diagonal(jx, jy, jz):
+    def __post_init__(self):
+        d = (self.jx, self.jy, self.jz)
+        if not (all(map(math.isfinite, d)) and is_canonical_diagonal(*d)):
             raise ValueError(
-                f"({jx}, {jy}, {jz}) is not a canonical diagonal coupling; "
-                "run canonicalize() first"
+                f"({self.jx}, {self.jy}, {self.jz}) is not a finite canonical diagonal "
+                "coupling; run canonicalize() first"
             )
-        return cls(float(jx), float(jy), float(jz))
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -123,56 +87,6 @@ class CanonicalCoupling:
     def sign_class(self) -> str:
         """'afm' for the all-non-negative class, 'fm' for the all-non-positive one."""
         return "fm" if min(self.jx, self.jy, self.jz) < 0 else "afm"
-
-    @property
-    def interaction_energies(self) -> np.ndarray:
-        """The four XYZ interaction eigenvalues in fixed Bell-state order."""
-        jx, jy, jz = self.jx, self.jy, self.jz
-        return np.array([-jx - jy - jz, jx + jy - jz, jx - jy + jz, -jx + jy + jz])
-
-    @property
-    def ground_degeneracy(self) -> int:
-        e = self.interaction_energies
-        scale = max(1.0, float(np.max(np.abs(e))))
-        return int(np.sum(e <= e.min() + 1e-12 * scale))
-
-
-_BELL_STATES = np.array(
-    [
-        [0.0, 1.0, -1.0, 0.0],  # singlet (|01> - |10>)/sqrt(2)
-        [0.0, 1.0, 1.0, 0.0],  # (|01> + |10>)/sqrt(2)
-        [1.0, 0.0, 0.0, 1.0],  # (|00> + |11>)/sqrt(2)
-        [1.0, 0.0, 0.0, -1.0],  # (|00> - |11>)/sqrt(2)
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
-
-
-@dataclass
-class InteractionEigensystem:
-    """Interaction eigenvalues paired with their Bell eigenstates."""
-
-    energies: np.ndarray
-    states: np.ndarray  # rows match energies
-    ground_energy: float
-    ground_degeneracy: int
-
-    @property
-    def degeneracy_tag(self) -> str:
-        return {1: "nondegenerate", 2: "doubly_degenerate", 3: "triply_degenerate"}.get(
-            self.ground_degeneracy, f"{self.ground_degeneracy}-fold"
-        )
-
-
-def interaction_eigensystem(c: CanonicalCoupling) -> InteractionEigensystem:
-    """Spectrum of the diagonal XYZ interaction; the eigenstates are the Bell states."""
-    energies = c.interaction_energies
-    return InteractionEigensystem(
-        energies=energies,
-        states=_BELL_STATES.copy(),
-        ground_energy=float(energies.min()),
-        ground_degeneracy=c.ground_degeneracy,
-    )
 
 
 def canonicalize(j) -> CanonicalCoupling:
@@ -198,7 +112,9 @@ def canonicalize(j) -> CanonicalCoupling:
     if np.linalg.det(r2) < 0:
         r2[2, :] *= -1.0
         d[2] *= -1.0
-    if np.linalg.det(j) < 0:
+    # d[2] now carries the sign of det J. Deciding the class on it, not on a
+    # separately rounded det J, keeps near-singular couplings canonical.
+    if d[2] < 0:
         # Rotate spin 1 by pi about z: flips the x and y couplings.
         r1 = np.diag([-1.0, -1.0, 1.0]) @ r1
         d[0] *= -1.0

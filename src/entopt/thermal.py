@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import hermitian_eigen
+from .linalg import _eigh, hermitian_eigen, require_hermitian
 
 
 def _validate_beta(beta: float) -> float:
     beta = float(beta)
-    if not (beta > 0.0 and np.isfinite(beta)):
+    if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"inverse temperature must be finite and positive, got {beta}")
     return beta
+
+
+def _gibbs(h, beta: float):
+    """gibbs_state without checks, for an exactly Hermitian h and a valid beta."""
+    values, vectors = _eigh(h)
+    weights = np.exp(-beta * (values - values[0]))
+    z = float(weights.sum())
+    return (vectors * (weights / z)) @ vectors.conj().T, z
 
 
 def gibbs_state(h, beta: float):
@@ -21,11 +31,7 @@ def gibbs_state(h, beta: float):
     ~1e3 cannot overflow; the returned partition function uses that shifted
     convention, Z_shifted = Z * exp(beta * E_min). Returns (rho, z_shifted).
     """
-    beta = _validate_beta(beta)
-    values, vectors = hermitian_eigen(h)
-    weights = np.exp(-beta * (values - values[0]))
-    z = float(weights.sum())
-    rho = (vectors * (weights / z)) @ vectors.conj().T
+    rho, z = _gibbs(require_hermitian(h), _validate_beta(beta))
     return (rho + rho.conj().T) / 2.0, z
 
 

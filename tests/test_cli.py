@@ -55,19 +55,6 @@ def test_boundary_ising_is_zero(capsys):
     assert json.loads(out)["t_c"] == 0.0
 
 
-def test_boundary_grid_mode(capsys):
-    code, out = run_cli(
-        capsys,
-        "boundary",
-        "--grid-min", "1", "--grid-max", "2", "--grid-step", "1",
-        "--class", "afm",
-    )
-    assert code == 0
-    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert lines[0] == "jx_over_abs_jz,jy_over_abs_jz,t_c"
-    assert len(lines) == 1 + 4  # 2x2 grid
-
-
 def test_optimize_csv_shape_and_warning(capsys):
     code, out = run_cli(
         capsys,
@@ -202,6 +189,14 @@ def test_usage_errors_exit_2(capsys):
         ["optimize", "--diag", "1,1,1", "--t-min", "2", "--t-max", "1"],
         ["phase-diagram", "--class", "afm", "--grid-min", "0.5", "--grid-max", "2"],
         ["measure", "--diag", "1,1,1", "--beta", "1", "--fields", "1,0,0,0,0,1", "--field-z", "2"],
+        ["verify-hypothesis", "--diag", "1,1,1", "--beta", "1", "--restarts", "0"],
+        ["verify-hypothesis", "--diag", "1,1,1", "--beta", "1", "--seed", "-1"],
+        ["measure", "--diag", "1,1,1", "--beta", "1e400"],  # overflows to inf
+        ["measure", "--diag", "1,1,1", "--temperature", "nan"],
+        ["measure", "--diag", "1,1,1", "--temperature", "1e-320"],  # 1/T overflows
+        ["optimize", "--diag", "1,1,1", "--t-max", "inf"],
+        ["asymptote-compare", "--diag", "1,1,1", "--t-max", "nan"],
+        ["phase-diagram", "--class", "afm", "--grid-max", "inf"],
     ]
     for argv in cases:
         code = cli.main(argv)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import expm_taylor, random_hermitian
+from conftest import random_hermitian
 
 from entopt.linalg import (
     NonHermitianError,
     hermitian_eigen,
-    hermitian_expm,
     hermiticity_defect,
     svd3,
 )
@@ -43,35 +42,6 @@ def test_eigen_reconstruction_bulk():
         assert np.max(np.abs(rebuilt - m)) <= 1e-10 * scale
         assert np.all(np.diff(values) >= 0)
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-10
-
-
-def test_expm_zero_and_diagonal():
-    assert np.allclose(hermitian_expm(np.zeros((4, 4))), np.eye(4), atol=1e-15)
-    d = np.array([0.3, -1.2, 2.0, 0.0])
-    assert np.allclose(hermitian_expm(np.diag(d)), np.diag(np.exp(d)), atol=1e-14)
-
-
-def test_expm_taylor_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        m = random_hermitian(rng, scale=rng.uniform(0.1, 3.0))
-        assert np.max(np.abs(hermitian_expm(m) - expm_taylor(m))) <= 1e-9
-
-
-def test_expm_group_property():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        m = random_hermitian(rng)
-        m *= min(1.0, 10.0 / np.linalg.norm(m, 2))
-        prod = hermitian_expm(m) @ hermitian_expm(-m)
-        assert np.max(np.abs(prod - np.eye(4))) <= 1e-9
-
-
-def test_expm_positive_definite():
-    rng = np.random.default_rng(9)
-    m = random_hermitian(rng, scale=2.0)
-    values, _ = hermitian_eigen(hermitian_expm(m))
-    assert values[0] > 0
 
 
 def test_svd3_identity_and_signed_diagonal():

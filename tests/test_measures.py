@@ -122,6 +122,9 @@ def test_peres_horodecki_equivalences():
             assert lam < 0.0 and det < 0.0
         if lam < -1e-10:
             assert n > 0.0 and det < 0.0
+        # pi = 2 |det rho^T1|^(1/4) on entangled states, compared in det space
+        expected = abs(det) if n > 0.0 else 0.0
+        assert (pi_measure(rho) / 2.0) ** 4 == pytest.approx(expected, abs=1e-15)
 
 
 def test_at_most_one_negative_pt_eigenvalue():

@@ -12,12 +12,13 @@ from entopt.optimizer import (
     boundary_temperature,
     dn_dh_over_h,
     enhancement_curve,
-    negativity_for_fields,
     optimal_field,
     phase_diagram,
     verify_hypothesis1,
 )
-from entopt.spin_model import CanonicalCoupling
+from entopt.measures import negativity
+from entopt.spin_model import CanonicalCoupling, build_hamiltonian
+from entopt.thermal import gibbs_state
 
 ISO = CanonicalCoupling(1 / 3, 1 / 3, 1 / 3)
 FIG3 = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)
@@ -250,7 +251,8 @@ def test_search_objective_matches_reference_route():
         fields = rng.normal(size=6)
         beta = 10 ** rng.uniform(-1, 1)
         fast = -_make_search_objective(j, beta)(fields)
-        assert fast == pytest.approx(negativity_for_fields(j, fields, beta), abs=1e-12)
+        rho, _ = gibbs_state(build_hamiltonian(j, fields[:3], fields[3:]), beta)
+        assert fast == pytest.approx(negativity(rho), abs=1e-12)
 
 
 def test_optimal_field_rejects_bad_beta():

@@ -5,15 +5,27 @@ from conftest import random_canonical
 from entopt.linalg import hermitian_eigen
 from entopt.spin_model import (
     CanonicalCoupling,
-    LocalField,
     build_hamiltonian,
     canonicalize,
-    interaction_eigensystem,
     is_canonical_diagonal,
     spectral_norm,
 )
 
 DM_EXAMPLE = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, -2.0]])
+
+# Eigenstates of every diagonal XYZ interaction, rows in bell_energies order.
+BELL_STATES = np.array(
+    [
+        [0.0, 1.0, -1.0, 0.0],  # singlet (|01> - |10>)/sqrt(2)
+        [0.0, 1.0, 1.0, 0.0],  # (|01> + |10>)/sqrt(2)
+        [1.0, 0.0, 0.0, 1.0],  # (|00> + |11>)/sqrt(2)
+        [1.0, 0.0, 0.0, -1.0],  # (|00> - |11>)/sqrt(2)
+    ]
+) / np.sqrt(2.0)
+
+
+def bell_energies(jx, jy, jz):
+    return np.array([-jx - jy - jz, jx + jy - jz, jx - jy + jz, -jx + jy + jz])
 
 
 def spectrum(j, h1=(0, 0, 0), h2=(0, 0, 0)):
@@ -117,41 +129,39 @@ def test_canonicalize_idempotent():
 def test_canonical_invariants():
     rng = np.random.default_rng(27)
     for _ in range(200):
-        c = canonicalize(rng.normal(size=(3, 3)))
-        assert abs(c.jz) <= min(abs(c.jx), abs(c.jy)) + 1e-12
-        assert c.jx >= c.jy - 1e-12
+        j = rng.normal(size=(3, 3))
+        # rank 2 up to rounding: det J and the smallest singular value are noise
+        singular = np.array([j[0], j[1], j[0] - 2.0 * j[1]]) * 1e4
+        for c in (canonicalize(j), canonicalize(singular)):
+            assert is_canonical_diagonal(c.jx, c.jy, c.jz)
+            assert abs(c.jz) <= min(abs(c.jx), abs(c.jy)) + 1e-12
+            assert c.jx >= c.jy - 1e-12
 
 
 def test_from_diagonal_validation():
-    CanonicalCoupling.from_diagonal(-1 / 2, -1 / 4, -1 / 4)
+    CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)
     with pytest.raises(ValueError, match="canonical"):
-        CanonicalCoupling.from_diagonal(1 / 6, 1 / 3, 1 / 2)  # |jz| not minimal
+        CanonicalCoupling(1 / 6, 1 / 3, 1 / 2)  # |jz| not minimal
+    with pytest.raises(ValueError, match="finite"):
+        CanonicalCoupling(np.inf, np.inf, np.inf)
 
 
 def test_interaction_eigensystem_isotropic():
-    sys_afm = interaction_eigensystem(CanonicalCoupling(1 / 3, 1 / 3, 1 / 3))
-    assert sys_afm.ground_energy == pytest.approx(-1.0)
-    assert sys_afm.ground_degeneracy == 1
-    assert sys_afm.degeneracy_tag == "nondegenerate"
-    # ground state is the singlet
-    singlet = sys_afm.states[0]
-    h = build_hamiltonian(np.diag([1 / 3, 1 / 3, 1 / 3]))
-    assert np.allclose(h @ singlet, -1.0 * singlet, atol=1e-12)
-
-    sys_fm = interaction_eigensystem(CanonicalCoupling(-1 / 3, -1 / 3, -1 / 3))
-    assert sys_fm.ground_energy == pytest.approx(-1 / 3)
-    assert sys_fm.ground_degeneracy == 3
-    assert sys_fm.degeneracy_tag == "triply_degenerate"
+    # antiferromagnet: the singlet alone at -1; ferromagnet: the triplet at -1/3
+    afm = np.diag([1 / 3, 1 / 3, 1 / 3])
+    singlet = BELL_STATES[0]
+    assert np.allclose(build_hamiltonian(afm) @ singlet, -1.0 * singlet, atol=1e-12)
+    assert np.allclose(spectrum(afm), [-1.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+    assert np.allclose(spectrum(-afm), [-1 / 3, -1 / 3, -1 / 3, 1.0], atol=1e-12)
 
 
 def test_interaction_eigensystem_vs_eigensolver():
     c = CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)
-    sys = interaction_eigensystem(c)
-    assert sys.ground_degeneracy == 2
-    full = spectrum(np.diag(c.diagonal))
-    assert np.allclose(np.sort(sys.energies), full, atol=1e-12)
-    for energy, state in zip(sys.energies, sys.states):
-        h = build_hamiltonian(np.diag(c.diagonal))
+    energies = bell_energies(*c.diagonal)
+    assert np.sum(energies <= energies.min() + 1e-12) == 2  # doubly degenerate ground
+    assert np.allclose(np.sort(energies), spectrum(np.diag(c.diagonal)), atol=1e-12)
+    h = build_hamiltonian(np.diag(c.diagonal))
+    for energy, state in zip(energies, BELL_STATES):
         assert np.allclose(h @ state, energy * state, atol=1e-12)
 
 
@@ -160,12 +170,3 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.diag([1 / 2, 1 / 3, 1 / 6])) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
 
-
-def test_local_field_views():
-    f = LocalField.opposed_z(2.0)
-    assert f.h == pytest.approx(2.0)
-    assert f.zeta == pytest.approx(0.0)
-    g = LocalField(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 1.0]))
-    assert g.h == pytest.approx(2.0)
-    assert g.zeta == pytest.approx(0.5)
-    assert LocalField(np.zeros(3), np.zeros(3)).zeta == 0.0
