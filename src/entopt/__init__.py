@@ -36,7 +36,6 @@ from .optimizer import (
     OptimizationResult,
     PhasePoint,
     boundary_temperature,
-    dn_dh_over_h,
     enhancement_curve,
     optimal_field,
     phase_diagram,
@@ -49,7 +48,7 @@ from .spin_model import (
     is_canonical_diagonal,
     spectral_norm,
 )
-from .thermal import gibbs_state, ground_state, is_density_matrix, purity
+from .thermal import gibbs_state, purity
 
 __all__ = [
     "AsymptoteDomainError",
@@ -69,16 +68,13 @@ __all__ = [
     "canonicalize",
     "closed_form_params",
     "concurrence",
-    "dn_dh_over_h",
     "enhancement_curve",
     "entanglement_report",
     "gibbs_state",
-    "ground_state",
     "hermitian_eigen",
     "high_t_hop_exact",
     "high_t_leading",
     "is_canonical_diagonal",
-    "is_density_matrix",
     "lambert_w_minus1",
     "low_t_asymptote",
     "matrix_element_pp_mm",

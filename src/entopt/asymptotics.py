@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from .spin_model import CanonicalCoupling
 
 _BRANCH_POINT = -1.0 / math.e
+# Couplings closer than this (relative to max(1, |J|)) count as degenerate.
+_DEGENERACY_RTOL = 1e-12
 
 
 class AsymptoteDomainError(ValueError):
@@ -103,7 +105,7 @@ def high_t_leading(jx: float, jy: float, beta: float) -> HighTAsymptote:
     )
 
 
-def low_t_asymptote(c: CanonicalCoupling, beta: float, rtol: float = 1e-12) -> LowTAsymptote:
+def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
     """Low-temperature optimum for degenerate ferromagnetic ground states.
 
     Applies to 0 >= jz = jx > jy, 0 >= jz = jy > jx (doubly degenerate) and
@@ -111,9 +113,9 @@ def low_t_asymptote(c: CanonicalCoupling, beta: float, rtol: float = 1e-12) -> L
     low-temperature asymptote: their optimizing field is exactly zero there.
     """
     scale = max(1.0, abs(c.jx), abs(c.jy), abs(c.jz))
-    zx = abs(c.jz - c.jx) <= rtol * scale
-    zy = abs(c.jz - c.jy) <= rtol * scale
-    if c.jz > rtol * scale or not (zx or zy):
+    zx = abs(c.jz - c.jx) <= _DEGENERACY_RTOL * scale
+    zy = abs(c.jz - c.jy) <= _DEGENERACY_RTOL * scale
+    if c.jz > _DEGENERACY_RTOL * scale or not (zx or zy):
         raise NondegenerateCouplingError(
             "no low-temperature asymptote for this coupling; h_op = 0 exactly"
         )

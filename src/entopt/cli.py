@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -21,7 +23,9 @@ from .closed_form import negativity_tilde
 from .linalg import hermitian_eigen
 from .measures import entanglement_report
 from .optimizer import (
+    EnhancementPoint,
     NumericalFailure,
+    PhasePoint,
     boundary_temperature,
     enhancement_curve,
     optimal_field,
@@ -39,6 +43,8 @@ from .thermal import gibbs_state, purity
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+# 1e4 values per axis is 1e8 T_c solves, far beyond any real grid.
+_MAX_GRID_VALUES = 10_000
 
 
 class UsageError(ValueError):
@@ -118,8 +124,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _dumps(value, **kwargs) -> str:
+    # numpy arrays and scalars reach `default`; tolist() makes either plain Python
+    return json.dumps(value, sort_keys=True, default=lambda v: v.tolist(), **kwargs)
+
+
 def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    blob = _dumps(config, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -131,30 +142,21 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
+def _dataclass_table(cls, records: list) -> tuple[list, list]:
+    """Columns named after the fields of cls, and one row of field values per record."""
+    columns = [f.name for f in dataclass_fields(cls)]
+    return columns, [[getattr(record, name) for name in columns] for record in records]
 
 
 def _write_table(args, config: dict, columns: list, rows: list, warning=None) -> None:
     digest = _config_hash(config)
     if args.format == "json":
-        payload = {
-            "config": _jsonable(config),
-            "config_hash": digest,
-            "columns": columns,
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
+        payload = {"config": config, "config_hash": digest, "columns": columns, "rows": rows}
         if warning:
             payload["warning"] = warning
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_dumps(payload, indent=2) + "\n", args.out)
         return
-    lines = [f"# config_hash={digest} config={json.dumps(_jsonable(config), sort_keys=True)}"]
+    lines = [f"# config_hash={digest} config={_dumps(config)}"]
     if warning:
         lines.append(f"# warning: {warning}")
     lines.append(",".join(columns))
@@ -164,75 +166,39 @@ def _write_table(args, config: dict, columns: list, rows: list, warning=None) ->
 
 
 def _write_record(args, config: dict, record: dict) -> None:
-    payload = {"config": _jsonable(config), "config_hash": _config_hash(config)}
-    payload.update({k: _jsonable(v) for k, v in record.items()})
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    payload = {"config": config, "config_hash": _config_hash(config), **record}
+    _emit(_dumps(payload, indent=2) + "\n", args.out)
 
 
-def _cmd_canonicalize(args) -> int:
+def _cmd_canonicalize(args) -> None:
     j = _coupling_from_args(args)
     c = canonicalize(j)
     original, _ = hermitian_eigen(build_hamiltonian(j))
     rotated, _ = hermitian_eigen(build_hamiltonian(c.diagonal))
-    residual = float(np.max(np.abs(np.sort(original) - np.sort(rotated))))
-    config = {"command": "canonicalize", "coupling": j.tolist()}
-    _write_record(
-        args,
-        config,
-        {
-            "jx": c.jx,
-            "jy": c.jy,
-            "jz": c.jz,
-            "sign_class": c.sign_class,
-            "r1": c.r1,
-            "r2": c.r2,
-            "det_r1": float(np.linalg.det(c.r1)),
-            "det_r2": float(np.linalg.det(c.r2)),
-            "spectrum_residual": residual,
-        },
-    )
-    return EXIT_OK
+    record = asdict(c) | {
+        "sign_class": c.sign_class,
+        "det_r1": float(np.linalg.det(c.r1)),
+        "det_r2": float(np.linalg.det(c.r2)),
+        "spectrum_residual": float(np.max(np.abs(np.sort(original) - np.sort(rotated)))),
+    }
+    _write_record(args, {"command": "canonicalize", "coupling": j.tolist()}, record)
 
 
-def _cmd_optimize(args) -> int:
-    c, warning = _canonical_from_args(args)
-    temps = _temperature_grid(args, spacing="linear")
-    config = {
-        "command": "optimize",
+def _sweep_config(command: str, c: CanonicalCoupling, args) -> dict:
+    return {
+        "command": command,
         "coupling": [c.jx, c.jy, c.jz],
         "t_min": args.t_min,
         "t_max": args.t_max,
         "t_points": args.t_points,
     }
-    columns = [
-        "t",
-        "h_op",
-        "n_op",
-        "n_zero_field",
-        "enhancement",
-        "purity_op",
-        "purity_zero",
-        "dn_op_dt",
-        "d2n_op_dt2",
-        "phase",
-    ]
-    rows = [
-        [
-            p.t,
-            p.h_op,
-            p.n_op,
-            p.n_zero,
-            p.enhancement,
-            p.purity_op,
-            p.purity_zero,
-            p.dn_dt,
-            p.d2n_dt2,
-            p.phase,
-        ]
-        for p in enhancement_curve(c, temps)
-    ]
-    _write_table(args, config, columns, rows, warning)
-    return EXIT_OK
+
+
+def _cmd_optimize(args) -> None:
+    c, warning = _canonical_from_args(args)
+    points = enhancement_curve(c, _temperature_grid(args, spacing="linear"))
+    columns, rows = _dataclass_table(EnhancementPoint, points)
+    _write_table(args, _sweep_config("optimize", c, args), columns, rows, warning)
 
 
 def _grid_values(args) -> np.ndarray:
@@ -242,23 +208,22 @@ def _grid_values(args) -> np.ndarray:
         raise UsageError("--grid-min must be >= 1 (ratios are measured from the isotropic point)")
     if args.grid_max < args.grid_min:
         raise UsageError("--grid-max must not be below --grid-min")
-    n = int(math.floor((args.grid_max - args.grid_min) / args.grid_step + 1e-9)) + 1
-    return args.grid_min + args.grid_step * np.arange(n)
+    steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
+    if steps >= _MAX_GRID_VALUES:
+        raise UsageError(f"the grid would have more than {_MAX_GRID_VALUES} values per axis")
+    return args.grid_min + args.grid_step * np.arange(int(steps) + 1)
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> None:
     c, warning = _canonical_from_args(args)
-    config = {"command": "boundary", "coupling": [c.jx, c.jy, c.jz]}
     record = {"t_c": boundary_temperature(c)}
     if warning:
         record["warning"] = warning
-    _write_record(args, config, record)
-    return EXIT_OK
+    _write_record(args, {"command": "boundary", "coupling": [c.jx, c.jy, c.jz]}, record)
 
 
-def _cmd_phase_diagram(args) -> int:
+def _cmd_phase_diagram(args) -> None:
     values = _grid_values(args)
-    points = phase_diagram(values, values, args.sign_class)
     config = {
         "command": "phase-diagram",
         "class": args.sign_class,
@@ -266,90 +231,61 @@ def _cmd_phase_diagram(args) -> int:
         "grid_max": args.grid_max,
         "grid_step": args.grid_step,
     }
-    columns = ["jx_over_abs_jz", "jy_over_abs_jz", "t_c"]
-    rows = [[p.jx_over_abs_jz, p.jy_over_abs_jz, p.t_c] for p in points]
+    columns, rows = _dataclass_table(PhasePoint, phase_diagram(values, values, args.sign_class))
     _write_table(args, config, columns, rows)
-    return EXIT_OK
 
 
-def _cmd_asymptote_compare(args) -> int:
+_ASYMPTOTE_COLUMNS = (
+    "t,h_exact,n_exact,h_asym,n_asym,h_leading,n_leading,ratio_h_asym,ratio_h_leading,"
+    "ratio_n_asym,ratio_n_leading,ratio_n_at_h_asym,asym_valid,leading_valid"
+).split(",")
+
+
+def _asymptote(formula, c: CanonicalCoupling, beta: float):
+    """(h_op, n_op) of a high-temperature asymptote, or (None, None) outside its domain."""
+    try:
+        a = formula(c.jx, c.jy, beta)
+    except AsymptoteDomainError:
+        return None, None
+    return a.h_op, a.n_op
+
+
+def _ratio(value, ref):
+    return None if value is None or ref == 0.0 else value / ref
+
+
+def _cmd_asymptote_compare(args) -> None:
     c, warning = _canonical_from_args(args)
-    temps = _temperature_grid(args, spacing="log")
-    config = {
-        "command": "asymptote-compare",
-        "coupling": [c.jx, c.jy, c.jz],
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        "t_points": args.t_points,
-    }
-    columns = [
-        "t",
-        "h_exact",
-        "n_exact",
-        "h_asym",
-        "n_asym",
-        "h_leading",
-        "n_leading",
-        "ratio_h_asym",
-        "ratio_h_leading",
-        "ratio_n_asym",
-        "ratio_n_leading",
-        "ratio_n_at_h_asym",
-        "asym_valid",
-        "leading_valid",
-    ]
     rows = []
-    for t in temps:
+    for t in _temperature_grid(args, spacing="log"):
         beta = 1.0 / float(t)
         res = optimal_field(c, beta)
-        h_exact, n_exact = res.h_op, res.n_op
-        row: dict = {"h_asym": None, "n_asym": None, "h_leading": None, "n_leading": None}
-        asym_valid = 0
-        leading_valid = 0
-        try:
-            asym = high_t_hop_exact(c.jx, c.jy, beta)
-            row["h_asym"], row["n_asym"] = asym.h_op, asym.n_op
-            asym_valid = 1
-        except AsymptoteDomainError:
-            pass
-        try:
-            lead = high_t_leading(c.jx, c.jy, beta)
-            row["h_leading"], row["n_leading"] = lead.h_op, lead.n_op
-            leading_valid = 1
-        except AsymptoteDomainError:
-            pass
-
-        def ratio(value, ref):
-            if value is None or ref == 0.0:
-                return None
-            return value / ref
-
-        n_at_h_asym = None
-        if asym_valid:
-            n_at_h_asym = max(negativity_tilde(c, row["h_asym"], beta), 0.0)
+        h_asym, n_asym = _asymptote(high_t_hop_exact, c, beta)
+        h_lead, n_lead = _asymptote(high_t_leading, c, beta)
+        n_at_h_asym = None if h_asym is None else max(negativity_tilde(c, h_asym, beta), 0.0)
         rows.append(
             [
                 float(t),
-                h_exact,
-                n_exact,
-                row["h_asym"],
-                row["n_asym"],
-                row["h_leading"],
-                row["n_leading"],
-                ratio(row["h_asym"], h_exact),
-                ratio(row["h_leading"], h_exact),
-                ratio(row["n_asym"], n_exact),
-                ratio(row["n_leading"], n_exact),
-                ratio(n_at_h_asym, n_exact),
-                asym_valid,
-                leading_valid,
+                res.h_op,
+                res.n_op,
+                h_asym,
+                n_asym,
+                h_lead,
+                n_lead,
+                _ratio(h_asym, res.h_op),
+                _ratio(h_lead, res.h_op),
+                _ratio(n_asym, res.n_op),
+                _ratio(n_lead, res.n_op),
+                _ratio(n_at_h_asym, res.n_op),
+                int(h_asym is not None),
+                int(h_lead is not None),
             ]
         )
-    _write_table(args, config, columns, rows, warning)
-    return EXIT_OK
+    config = _sweep_config("asymptote-compare", c, args)
+    _write_table(args, config, _ASYMPTOTE_COLUMNS, rows, warning)
 
 
-def _cmd_verify_hypothesis(args) -> int:
+def _cmd_verify_hypothesis(args) -> None:
     j = _coupling_from_args(args)
     beta = _beta_from_args(args)
     if args.restarts < 1 or args.seed < 0:
@@ -362,23 +298,10 @@ def _cmd_verify_hypothesis(args) -> int:
         "restarts": args.restarts,
         "seed": args.seed,
     }
-    _write_record(
-        args,
-        config,
-        {
-            "constrained_best": report.constrained_best,
-            "unconstrained_best": report.unconstrained_best,
-            "best_params": report.best_params,
-            "gap": report.gap,
-            "restarts": report.restarts,
-            "failed_restarts": report.failed_restarts,
-            "passed": report.passed,
-        },
-    )
-    return EXIT_OK
+    _write_record(args, config, asdict(report))
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> None:
     j = _coupling_from_args(args)
     beta = _beta_from_args(args)
     if args.fields and args.field_z is not None:
@@ -390,25 +313,8 @@ def _cmd_measure(args) -> int:
     else:
         fields = np.zeros(6)
     rho, _ = gibbs_state(build_hamiltonian(j, fields[:3], fields[3:]), beta)
-    report = entanglement_report(rho)
-    config = {
-        "command": "measure",
-        "coupling": j.tolist(),
-        "fields": fields.tolist(),
-        "beta": beta,
-    }
-    _write_record(
-        args,
-        config,
-        {
-            "negativity": report.negativity,
-            "concurrence": report.concurrence,
-            "pi": report.pi,
-            "min_pt_eigenvalue": report.min_pt_eigenvalue,
-            "purity": purity(rho),
-        },
-    )
-    return EXIT_OK
+    config = {"command": "measure", "coupling": j.tolist(), "fields": fields.tolist(), "beta": beta}
+    _write_record(args, config, asdict(entanglement_report(rho)) | {"purity": purity(rho)})
 
 
 def _add_coupling_flags(p: argparse.ArgumentParser) -> None:
@@ -498,13 +404,14 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalFailure, AsymptoteDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """M made exactly Hermitian, (M + M^dagger)/2, after checking it is Hermitian within rtol."""
+def require_hermitian(m) -> np.ndarray:
+    """M made exactly Hermitian, (M + M^dagger)/2, after checking it within HERMITICITY_RTOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
@@ -30,9 +30,10 @@ def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NonHermitianError("matrix has non-finite entries")
     scale = float(np.max(np.abs(m)))
     defect = hermiticity_defect(m)
-    if defect > rtol * scale:
+    if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
@@ -49,13 +50,13 @@ def _eigh(m, vectors: bool = True):
     return values, v
 
 
-def hermitian_eigen(m, rtol: float = HERMITICITY_RTOL):
+def hermitian_eigen(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (values, vectors) with values ascending and vectors as orthonormal
     columns. Non-Hermitian input is rejected with the measured defect norm.
     """
-    return _eigh(require_hermitian(m, rtol))
+    return _eigh(require_hermitian(m))
 
 
 def svd3(j):

@@ -68,17 +68,17 @@ def pi_measure(rho) -> float:
     return _pi(_pt_spectrum(require_hermitian(rho)))
 
 
-def necessary_condition(rho, atol: float = 1e-12) -> bool:
+def necessary_condition(rho) -> bool:
     """Eigenvalue-ordering witness: lam1 >= lam3 + 2 sqrt(lam2 lam4) >= 3 lam4.
 
     The lam_i are the state's eigenvalues in non-ascending order. Any state
     with nonzero negativity satisfies both inequalities; separable states may
-    fail them.
+    fail them. Both hold within an absolute slack of 1e-12.
     """
     values, _ = hermitian_eigen(rho)
     l4, l3, l2, l1 = np.clip(values, 0.0, None)
     mid = l3 + 2.0 * np.sqrt(l2 * l4)
-    return bool(l1 + atol >= mid and mid + atol >= 3.0 * l4)
+    return bool(l1 + 1e-12 >= mid and mid + 1e-12 >= 3.0 * l4)
 
 
 @dataclass(frozen=True)

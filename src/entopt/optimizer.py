@@ -77,7 +77,10 @@ def _half_sinh2x_minus_x(x: float) -> float:
 def _stationarity_scaled(c: CanonicalCoupling, h: float, beta: float):
     """The stationarity expression times exp(-m), with the scale m returned.
 
-    The rescale keeps every exponential representable at large beta*J2 and is
+    The expression is (1/h) dN~/dh times the positive factor
+    J2^3 Z^2 / (16 cosh(beta J1)), with the trivial h = 0 root removed, so its
+    sign and roots are those of the negativity's field derivative. The
+    rescale keeps every exponential representable at large beta*J2 and is
     positive, so signs and roots are unchanged. Finite at h = 0, where
     J2 -> |jx + jy|.
     """
@@ -103,18 +106,21 @@ def _stationarity_scaled(c: CanonicalCoupling, h: float, beta: float):
     return t1 + t2 - t3, m
 
 
-def dn_dh_over_h(c: CanonicalCoupling, h: float, beta: float) -> float:
-    """Stationarity expression for the opposed-z field strength.
+def _unit(c: CanonicalCoupling) -> float:
+    """The power of two nearest |jx| + |jy| + |jz|, the spectral norm of a canonical coupling.
 
-    Equals (1/h) dN~/dh times the positive factor J2^3 Z^2 / (16 cosh(beta J1)),
-    with the trivial h = 0 root removed, so its sign and roots are those of the
-    negativity's field derivative. Overflows to +-inf (sign intact) once
-    beta*J2 is large enough that the true value exceeds the float range.
+    N~ depends on the coupling, the field and beta only through beta*J and
+    beta*h, so the solvers work in these units; scaling by a power of two is
+    exact.
     """
-    value, m = _stationarity_scaled(c, h, beta)
-    if m > 709.0:
-        return math.copysign(math.inf, value) if value != 0.0 else 0.0
-    return value * math.exp(m)
+    return 2.0 ** round(math.log2(abs(c.jx) + abs(c.jy) + abs(c.jz)))
+
+
+def _failure(what: str, c: CanonicalCoupling, beta: float, bracket) -> NumericalFailure:
+    return NumericalFailure(
+        f"{what} for coupling ({c.jx:.17g}, {c.jy:.17g}, {c.jz:.17g}) at beta = {beta:.17g}, "
+        f"bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]"
+    )
 
 
 def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
@@ -122,78 +128,70 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
 
     Low-temperature phase: the stationarity function is non-positive at h = 0
     and the optimum sits exactly at zero field. High-temperature phase: the
-    sign change on (0, h_max] is bracketed and refined with Brent's method.
+    sign change on (0, h_max] is bracketed and refined with Brent's method,
+    in units of the coupling's scale s (see _unit).
     """
     beta = _validate_beta(beta)
-
-    def stationarity(h):
-        return _stationarity_scaled(c, h, beta)[0]
-
     jt = abs(c.jx + c.jy)
-    if jt == 0.0 or stationarity(0.0) <= 0.0:
+    if jt == 0.0 or _stationarity_scaled(c, 0.0, beta)[0] <= 0.0:
         n0 = max(negativity_tilde(c, 0.0, beta), 0.0)
         return OptimizationResult(0.0, n0, "low_t", (0.0, 0.0), 0)
-    t = 1.0 / beta
-    h_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
-    if stationarity(h_max) >= 0.0:
-        h_max *= 10.0
-        if stationarity(h_max) >= 0.0:
-            raise NumericalFailure(
-                f"no field bracket up to h = {h_max:.3g} at beta = {beta:.3g}"
-            )
-    h_op, info = brentq(
-        stationarity,
-        0.0,
-        h_max,
-        xtol=1e-12,
-        rtol=1e-11,
-        maxiter=200,
-        full_output=True,
+    s = _unit(c)
+
+    def stationarity(u):
+        return _stationarity_scaled(c, s * u, beta)[0]
+
+    t = 1.0 / (beta * s)
+    u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
+    if stationarity(u_max) >= 0.0:
+        u_max *= 10.0
+        if stationarity(u_max) >= 0.0:
+            raise _failure("no field bracket", c, beta, (0.0, s * u_max))
+    bracket = (0.0, s * u_max)
+    u_op, info = brentq(
+        stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200, full_output=True
     )
     if not info.converged:
-        raise NumericalFailure(f"field root did not converge at beta = {beta:.3g}")
+        raise _failure("field root did not converge", c, beta, bracket)
+    h_op = s * u_op
     n_op = negativity_tilde(c, h_op, beta)
-    delta = 1e-5 * max(1.0, h_op)
+    delta = s * 1e-5 * max(1.0, u_op)
     slack = 1e-10 * max(1.0, abs(n_op))
     if (
         negativity_tilde(c, h_op + delta, beta) > n_op + slack
         or negativity_tilde(c, max(h_op - delta, 0.0), beta) > n_op + slack
     ):
-        raise NumericalFailure(f"stationary point at h = {h_op:.6g} is not a maximum")
-    return OptimizationResult(h_op, max(n_op, 0.0), "high_t", (0.0, h_max), info.iterations)
+        raise _failure(f"stationary point at h = {h_op:.17g} is not a maximum", c, beta, bracket)
+    return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, info.iterations)
 
 
-def boundary_temperature(
-    c: CanonicalCoupling,
-    beta_min: float = 1e-3,
-    beta_max: float = 1e3,
-    points: int = 241,
-) -> float:
+# The boundary scan's beta grid, in units of 1/s (see _unit).
+_BETA_SCAN = np.geomspace(1e-3, 1e3, 241)
+
+
+def boundary_temperature(c: CanonicalCoupling) -> float:
     """Temperature T_c below which the optimizing field vanishes; 0 when it never does.
 
     Scans the h -> 0 limit of the stationarity function over a log grid in
-    beta and Brent-refines the first sign change. Degenerate couplings have no
-    sign change and legitimately return 0.
+    beta*s and Brent-refines the first sign change. Degenerate couplings have
+    no sign change and legitimately return 0.
     """
     if abs(c.jx + c.jy) == 0.0:
         return 0.0
+    s = _unit(c)
 
-    def g(beta):
-        return _stationarity_scaled(c, 0.0, beta)[0]
+    def g(b):
+        return _stationarity_scaled(c, 0.0, b / s)[0]
 
-    grid = np.geomspace(beta_min, beta_max, points)
-    if g(grid[0]) <= 0.0:
-        # T_c above the default window (very strong coupling); widen downward once.
-        grid = np.geomspace(beta_min * 1e-3, beta_max, points)
-        if g(grid[0]) <= 0.0:
-            raise NumericalFailure("boundary scan starts past the sign change")
-    prev = grid[0]
+    prev = _BETA_SCAN[0]
     g_prev = g(prev)
-    for b in grid[1:]:
+    if g_prev <= 0.0:
+        window = (prev / s, _BETA_SCAN[-1] / s)
+        raise _failure("boundary scan starts past the sign change", c, window[0], window)
+    for b in _BETA_SCAN[1:]:
         g_b = g(b)
         if g_prev > 0.0 >= g_b:
-            beta_c = brentq(g, prev, b, xtol=1e-14, rtol=1e-12, maxiter=200)
-            return 1.0 / beta_c
+            return s / brentq(g, prev, b, xtol=1e-14, rtol=1e-12, maxiter=200)
         prev, g_prev = b, g_b
     return 0.0
 
@@ -203,12 +201,12 @@ class EnhancementPoint:
     t: float
     h_op: float
     n_op: float
-    n_zero: float
+    n_zero_field: float
     enhancement: float
     purity_op: float
     purity_zero: float
-    dn_dt: float
-    d2n_dt2: float
+    dn_op_dt: float
+    d2n_op_dt2: float
     phase: str
 
 
@@ -236,25 +234,16 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
                 t=t,
                 h_op=res.h_op,
                 n_op=res.n_op,
-                n_zero=n_zero,
+                n_zero_field=n_zero,
                 enhancement=res.n_op - n_zero,
                 purity_op=purity(rho_op),
                 purity_zero=purity(rho_zero),
-                dn_dt=(n_plus - n_minus) / (2.0 * dt),
-                d2n_dt2=(n_plus - 2.0 * res.n_op + n_minus) / (dt * dt),
+                dn_op_dt=(n_plus - n_minus) / (2.0 * dt),
+                d2n_op_dt2=(n_plus - 2.0 * res.n_op + n_minus) / (dt * dt),
                 phase=res.phase,
             )
         )
     return rows
-
-
-def _normalized_diagonal(x: float, y: float, sign: float) -> CanonicalCoupling:
-    d = sign * np.array([x, y, 1.0])
-    energies = np.array(
-        [-d[0] - d[1] - d[2], d[0] + d[1] - d[2], d[0] - d[1] + d[2], -d[0] + d[1] + d[2]]
-    )
-    d /= np.max(np.abs(energies))
-    return CanonicalCoupling(d[0], d[1], d[2])
 
 
 def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:
@@ -272,7 +261,9 @@ def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:
         for y in ys:
             if x < 1.0 or y < 1.0:
                 raise ValueError(f"grid ratios must be >= 1, got ({x}, {y})")
-            c = _normalized_diagonal(float(x), float(y), sign)
+            # |jx| + |jy| + |jz| is the spectral norm of a one-sign diagonal
+            d = sign * np.array([x, y, 1.0]) / (x + y + 1.0)
+            c = CanonicalCoupling(d[0], d[1], d[2])
             points.append(PhasePoint(float(x), float(y), boundary_temperature(c)))
     return points
 
@@ -289,9 +280,11 @@ def _make_search_objective(j, beta: float):
     return objective
 
 
-def verify_hypothesis1(
-    j, beta: float, restarts: int = 64, seed: int = 0, gap_tol: float = 1e-6
-) -> Hypothesis1Report:
+# The search passes when it beats the constrained optimum by no more than this.
+_GAP_TOL = 1e-6
+
+
+def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hypothesis1Report:
     """Multi-start unconstrained field search against the opposed-z optimum.
 
     The six field components are searched with Nelder-Mead restarts inside a
@@ -348,5 +341,5 @@ def verify_hypothesis1(
         gap=gap,
         restarts=restarts,
         failed_restarts=failed,
-        passed=bool(gap <= gap_tol),
+        passed=bool(gap <= _GAP_TOL),
     )

@@ -23,7 +23,8 @@ PAULI_BASIS = np.array(
     + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
 )
 
-_CANONICAL_ATOL = 1e-12
+# Absolute slack of each inequality in is_canonical_diagonal.
+_ATOL = 1e-12
 
 
 def _as_coupling_matrix(j) -> np.ndarray:
@@ -48,12 +49,12 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
     return (np.concatenate((j.ravel(), fields)) @ PAULI_BASIS).reshape(4, 4)
 
 
-def is_canonical_diagonal(jx: float, jy: float, jz: float, atol: float = _CANONICAL_ATOL) -> bool:
+def is_canonical_diagonal(jx: float, jy: float, jz: float) -> bool:
     """True when either {jx, jy} >= jz >= 0 or 0 >= jz >= {jx, jy}, with |jz| minimal."""
-    if abs(jz) > min(abs(jx), abs(jy)) + atol:
+    if abs(jz) > min(abs(jx), abs(jy)) + _ATOL:
         return False
-    afm = jx >= jz - atol and jy >= jz - atol and jz >= -atol
-    fm = jz <= atol and jz >= jx - atol and jz >= jy - atol
+    afm = jx >= jz - _ATOL and jy >= jz - _ATOL and jz >= -_ATOL
+    fm = jz <= _ATOL and jz >= jx - _ATOL and jz >= jy - _ATOL
     return afm or fm
 
 

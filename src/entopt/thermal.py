@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .linalg import _eigh, hermitian_eigen, require_hermitian
+from .linalg import _eigh, require_hermitian
 
 
 def _validate_beta(beta: float) -> float:
@@ -35,28 +35,7 @@ def gibbs_state(h, beta: float):
     return (rho + rho.conj().T) / 2.0, z
 
 
-def ground_state(h, degeneracy_rtol: float = 1e-9) -> np.ndarray:
-    """Zero-temperature limit: the maximally mixed state over the ground space."""
-    values, vectors = hermitian_eigen(h)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    mask = values - values[0] <= degeneracy_rtol * scale
-    v = vectors[:, mask]
-    rho = (v @ v.conj().T) / v.shape[1]
-    return (rho + rho.conj().T) / 2.0
-
-
 def purity(rho) -> float:
     """tr(rho^2), between 1/4 (maximally mixed) and 1 (pure)."""
     rho = np.asarray(rho)
     return float(np.real(np.trace(rho @ rho)))
-
-
-def is_density_matrix(rho, atol: float = 1e-12) -> bool:
-    """Hermitian, unit trace, and positive semidefinite within tolerance."""
-    rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        return False
-    values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return bool(values[0] >= -atol)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import entopt.cli as cli
-from entopt.optimizer import NumericalFailure
+from entopt.optimizer import Hypothesis1Report, NumericalFailure
+
+ISO_README = "0.333333333333,0.333333333333,0.333333333333"
+FIG3_README = "0.5,0.333333333333,0.166666666667"
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +200,7 @@ def test_usage_errors_exit_2(capsys):
         ["optimize", "--diag", "1,1,1", "--t-max", "inf"],
         ["asymptote-compare", "--diag", "1,1,1", "--t-max", "nan"],
         ["phase-diagram", "--class", "afm", "--grid-max", "inf"],
+        ["phase-diagram", "--class", "afm", "--grid-step", "1e-300"],  # too many grid values
     ]
     for argv in cases:
         code = cli.main(argv)
@@ -229,3 +233,67 @@ def test_console_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["t_c"] == pytest.approx(0.8168 * 0.75, abs=1e-3)
+
+
+# The README commands with their config_hash and their CSV header (tables) or
+# record keys besides config and config_hash (JSON records).
+README_COMMANDS = [
+    (
+        ["canonicalize", "--coupling", "1,1,0,-1,1,0,0,0,-2"],
+        "2a57fdabf8fe",
+        "det_r1,det_r2,jx,jy,jz,r1,r2,sign_class,spectrum_residual",
+    ),
+    (["boundary", "--diag", ISO_README], "70f3e66cc1d3", "t_c"),
+    (
+        ["optimize", "--diag", FIG3_README, "--t-min", "0.01", "--t-max", "10",
+         "--t-points", "3000", "--out", "optimize.csv"],
+        "077375ac9544",
+        "t,h_op,n_op,n_zero_field,enhancement,purity_op,purity_zero,dn_op_dt,d2n_op_dt2,phase",
+    ),
+    (
+        ["phase-diagram", "--class", "afm", "--grid-min", "1", "--grid-max", "10",
+         "--grid-step", "0.5", "--out", "afm.csv"],
+        "8a574c284752",
+        "jx_over_abs_jz,jy_over_abs_jz,t_c",
+    ),
+    (
+        ["asymptote-compare", "--diag", ISO_README, "--t-min", "1", "--t-max", "100",
+         "--t-points", "25", "--out", "asymptotes.csv"],
+        "e823b2f15d05",
+        "t,h_exact,n_exact,h_asym,n_asym,h_leading,n_leading,ratio_h_asym,ratio_h_leading,"
+        "ratio_n_asym,ratio_n_leading,ratio_n_at_h_asym,asym_valid,leading_valid",
+    ),
+    (
+        ["verify-hypothesis", "--coupling", "0.4,0.1,0,-0.1,0.3,0.05,0,0.05,0.2",
+         "--beta", "1", "--restarts", "64", "--seed", "0"],
+        "1f3ad06bb253",
+        "best_params,constrained_best,failed_restarts,gap,passed,restarts,unconstrained_best",
+    ),
+    (
+        ["measure", "--diag", FIG3_README, "--beta", "1", "--field-z", "1"],
+        "ef4b12d85e90",
+        "concurrence,min_pt_eigenvalue,negativity,pi,purity",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest,header", README_COMMANDS, ids=[case[0][0] for case in README_COMMANDS]
+)
+def test_readme_config_hash_and_header(argv, digest, header, tmp_path, monkeypatch, capsys):
+    # the hash covers the config only, so the 64-restart search is skipped
+    report = Hypothesis1Report(0.0, 0.0, np.zeros(6), 0.0, 64, 0, True)
+    monkeypatch.setattr(cli, "verify_hypothesis1", lambda *args, **kwargs: report)
+    if "--out" in argv:
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    assert cli.main(argv) == 0
+    text = (tmp_path / argv[-1]).read_text() if "--out" in argv else capsys.readouterr().out
+    if text.startswith("#"):
+        lines = text.splitlines()
+        assert lines[0].startswith(f"# config_hash={digest} config=")
+        assert lines[1] == header
+    else:
+        payload = json.loads(text)
+        assert payload.pop("config_hash") == digest
+        payload.pop("config")
+        assert ",".join(sorted(payload)) == header

@@ -6,11 +6,12 @@ from conftest import random_canonical
 
 from entopt.asymptotics import high_t_hop_exact, low_t_asymptote
 from entopt.closed_form import negativity_tilde
+import entopt.optimizer as optimizer
 from entopt.optimizer import (
+    NumericalFailure,
     _make_search_objective,
     _stationarity_scaled,
     boundary_temperature,
-    dn_dh_over_h,
     enhancement_curve,
     optimal_field,
     phase_diagram,
@@ -23,6 +24,19 @@ from entopt.thermal import gibbs_state
 ISO = CanonicalCoupling(1 / 3, 1 / 3, 1 / 3)
 FIG3 = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)
 FERRO_DEGEN = CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)
+
+
+def dn_dh_over_h(c, h, beta):
+    """The stationarity expression at its true scale.
+
+    Equals (1/h) dN~/dh times the positive factor J2^3 Z^2 / (16 cosh(beta J1)),
+    with the trivial h = 0 root removed. Overflows to +-inf (sign intact) once
+    beta*J2 is large enough that the true value exceeds the float range.
+    """
+    value, m = _stationarity_scaled(c, h, beta)
+    if m > 709.0:
+        return math.copysign(math.inf, value) if value != 0.0 else 0.0
+    return value * math.exp(m)
 
 
 def stationarity_from_finite_differences(c, h, beta):
@@ -156,6 +170,54 @@ def test_boundary_scales_with_coupling():
     assert boundary_temperature(strong) == pytest.approx(81.68, abs=0.1)
 
 
+def test_solvers_are_scale_covariant():
+    # N~ depends on J, h and beta only through beta*J and beta*h, so scaling the
+    # coupling by s scales T_c and h_op by s and leaves n_op unchanged
+    def scaled(c, s):
+        return CanonicalCoupling(s * c.jx, s * c.jy, s * c.jz)
+
+    rng = np.random.default_rng(83)
+    cases = [ISO, FIG3, FERRO_DEGEN] + [random_canonical(rng) for _ in range(6)]
+    for c in cases:
+        t_c = boundary_temperature(c)
+        t = max(1.2 * t_c, 10 ** rng.uniform(-0.3, 0.7))
+        ref = optimal_field(c, 1.0 / t)
+        assert ref.phase == "high_t"
+        for k in range(-9, 10):
+            s = 10.0**k
+            sc = scaled(c, s)
+            assert boundary_temperature(sc) == pytest.approx(s * t_c, rel=1e-10, abs=0.0)
+            res = optimal_field(sc, 1.0 / (s * t))
+            assert res.h_op == pytest.approx(s * ref.h_op, rel=1e-10, abs=0.0)
+            assert res.n_op == pytest.approx(ref.n_op, rel=1e-12, abs=0.0)
+    # the isotropic couplings on which the fixed beta window returned 0.0,
+    # drifted, or failed to bracket
+    for j in (1e-3, 1e6, 1e7):
+        assert boundary_temperature(scaled(ISO, j)) == pytest.approx(
+            j * boundary_temperature(ISO), rel=1e-10, abs=0.0
+        )
+
+
+def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: (1.0, 0.0))
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(FIG3, 0.25)
+    message = str(exc.value)
+    assert "no field bracket" in message
+    assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
+    assert "beta = 0.25" in message
+    assert "bracket [0, " in message
+
+    monkeypatch.undo()
+    monkeypatch.setattr(optimizer, "negativity_tilde", lambda c, h, beta: h * h)
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(FIG3, 0.25)
+    message = str(exc.value)
+    assert "is not a maximum" in message
+    assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
+    assert "beta = 0.25" in message
+
+
 def test_phase_diagram_grid_and_symmetries():
     points = phase_diagram([1.0, 5.0], [1.0, 5.0], "afm")
     by_ratio = {(p.jx_over_abs_jz, p.jy_over_abs_jz): p.t_c for p in points}
@@ -196,10 +258,10 @@ def test_enhancement_curve_above_boundary():
     for row in rows:
         assert row.phase == "high_t"
         assert row.enhancement > 0.0
-        assert row.n_op >= row.n_zero
+        assert row.n_op >= row.n_zero_field
         assert row.purity_op > row.purity_zero  # the field purifies the state
-        assert math.isfinite(row.dn_dt) and math.isfinite(row.d2n_dt2)
-        assert row.dn_dt < 0.0  # optimized negativity decays with temperature
+        assert math.isfinite(row.dn_op_dt) and math.isfinite(row.d2n_op_dt2)
+        assert row.dn_op_dt < 0.0  # optimized negativity decays with temperature
 
 
 def test_no_singularity_at_enhancement_maximum():

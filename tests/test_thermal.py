@@ -2,8 +2,30 @@ import numpy as np
 import pytest
 from conftest import expm_taylor, random_hermitian
 
+from entopt.linalg import hermitian_eigen
 from entopt.spin_model import build_hamiltonian
-from entopt.thermal import gibbs_state, ground_state, is_density_matrix, purity
+from entopt.thermal import gibbs_state, purity
+
+
+def ground_state(h, degeneracy_rtol=1e-9):
+    """Zero-temperature limit: the maximally mixed state over the ground space."""
+    values, vectors = hermitian_eigen(h)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    mask = values - values[0] <= degeneracy_rtol * scale
+    v = vectors[:, mask]
+    rho = (v @ v.conj().T) / v.shape[1]
+    return (rho + rho.conj().T) / 2.0
+
+
+def is_density_matrix(rho, atol=1e-12):
+    """Hermitian, unit trace, and positive semidefinite within tolerance."""
+    rho = np.asarray(rho)
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        return False
+    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+        return False
+    values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    return bool(values[0] >= -atol)
 
 
 def test_infinite_temperature_limit():
