@@ -18,7 +18,7 @@ from .asymptotics import (
     matrix_element_pp_mm,
 )
 from .closed_form import ClosedFormParams, closed_form_params, negativity_tilde, pt_spectrum
-from .linalg import hermitian_eigen, svd3
+from .linalg import hermitian_eigen
 from .measures import (
     EntanglementReport,
     concurrence,
@@ -46,7 +46,6 @@ from .spin_model import (
     build_hamiltonian,
     canonicalize,
     is_canonical_diagonal,
-    spectral_norm,
 )
 from .thermal import gibbs_state, purity
 
@@ -88,8 +87,6 @@ __all__ = [
     "pi_measure",
     "pt_spectrum",
     "purity",
-    "spectral_norm",
-    "svd3",
     "verify_hypothesis1",
 ]
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .spin_model import CanonicalCoupling
 
 _BRANCH_POINT = -1.0 / math.e
-# Couplings closer than this (relative to max(1, |J|)) count as degenerate.
+# Diagonal entries closer than this times the coupling's norm count as equal.
 _DEGENERACY_RTOL = 1e-12
 
 
@@ -19,6 +19,18 @@ class AsymptoteDomainError(ValueError):
 
 class NondegenerateCouplingError(ValueError):
     """No low-temperature asymptote exists; the optimizing field is exactly zero."""
+
+
+def _degenerate_axes(c: CanonicalCoupling) -> tuple[bool, bool]:
+    """Whether jz equals jx and whether it equals jy, in a degenerate ground level.
+
+    The ground level of a canonical coupling is degenerate exactly when
+    jz <= 0 and jz equals jx or jy; both are (False, False) otherwise.
+    """
+    tol = _DEGENERACY_RTOL * c.norm
+    if c.jz > tol:
+        return False, False
+    return abs(c.jz - c.jx) <= tol, abs(c.jz - c.jy) <= tol
 
 
 def lambert_w_minus1(x: float) -> float:
@@ -112,10 +124,8 @@ def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
     0 >= jz = jx = jy (triply degenerate). Non-degenerate couplings have no
     low-temperature asymptote: their optimizing field is exactly zero there.
     """
-    scale = max(1.0, abs(c.jx), abs(c.jy), abs(c.jz))
-    zx = abs(c.jz - c.jx) <= _DEGENERACY_RTOL * scale
-    zy = abs(c.jz - c.jy) <= _DEGENERACY_RTOL * scale
-    if c.jz > _DEGENERACY_RTOL * scale or not (zx or zy):
+    zx, zy = _degenerate_axes(c)
+    if not (zx or zy):
         raise NondegenerateCouplingError(
             "no low-temperature asymptote for this coupling; h_op = 0 exactly"
         )

@@ -1,4 +1,4 @@
-"""Dense linear algebra for 4x4 Hermitian operators and real 3x3 couplings."""
+"""Dense linear algebra for 4x4 Hermitian operators."""
 
 from __future__ import annotations
 
@@ -57,19 +57,3 @@ def hermitian_eigen(m):
     columns. Non-Hermitian input is rejected with the measured defect norm.
     """
     return _eigh(require_hermitian(m))
-
-
-def svd3(j):
-    """Singular value decomposition of a real 3x3 matrix as U @ J @ W = diag(sigma).
-
-    sigma is non-negative and sorted descending; U and W are orthogonal with
-    determinant +1 or -1. Ties between equal singular values keep the
-    underlying solver's deterministic column order.
-    """
-    j = np.asarray(j, dtype=float)
-    if j.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {j.shape}")
-    if not np.all(np.isfinite(j)):
-        raise ValueError("coupling matrix has non-finite entries")
-    u, sigma, vh = np.linalg.svd(j)
-    return u.T, sigma, vh.T

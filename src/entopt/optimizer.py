@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
+from .asymptotics import _degenerate_axes
 from .closed_form import negativity_tilde
 from .measures import _negativity, _pt_spectrum
 from .spin_model import (
@@ -22,7 +23,6 @@ from .spin_model import (
     CanonicalCoupling,
     build_hamiltonian,
     canonicalize,
-    spectral_norm,
 )
 from .thermal import _gibbs, _validate_beta, gibbs_state, purity
 
@@ -113,7 +113,7 @@ def _unit(c: CanonicalCoupling) -> float:
     beta*h, so the solvers work in these units; scaling by a power of two is
     exact.
     """
-    return 2.0 ** round(math.log2(abs(c.jx) + abs(c.jy) + abs(c.jz)))
+    return 2.0 ** round(math.log2(c.norm))
 
 
 def _failure(what: str, c: CanonicalCoupling, beta: float, bracket) -> NumericalFailure:
@@ -165,35 +165,36 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, info.iterations)
 
 
-# The boundary scan's beta grid, in units of 1/s (see _unit).
-_BETA_SCAN = np.geomspace(1e-3, 1e3, 241)
+# The boundary scan's beta grid, in units of 1/s (see _unit): 40 points per
+# decade from 1e-3, first to 1e3 and then on to 1e16.
+_BETA_SCAN = np.concatenate((np.geomspace(1e-3, 1e3, 241), np.geomspace(1e3, 1e16, 521)[1:]))
 
 
 def boundary_temperature(c: CanonicalCoupling) -> float:
     """Temperature T_c below which the optimizing field vanishes; 0 when it never does.
 
-    Scans the h -> 0 limit of the stationarity function over a log grid in
-    beta*s and Brent-refines the first sign change. Degenerate couplings have
-    no sign change and legitimately return 0.
+    It never does exactly when the ground level is degenerate. Otherwise scans
+    the h -> 0 limit of the stationarity function over a log grid in beta*s
+    and Brent-refines the first sign change.
     """
-    if abs(c.jx + c.jy) == 0.0:
+    if any(_degenerate_axes(c)):
         return 0.0
     s = _unit(c)
 
     def g(b):
         return _stationarity_scaled(c, 0.0, b / s)[0]
 
+    window = (_BETA_SCAN[0] / s, _BETA_SCAN[-1] / s)
     prev = _BETA_SCAN[0]
     g_prev = g(prev)
     if g_prev <= 0.0:
-        window = (prev / s, _BETA_SCAN[-1] / s)
         raise _failure("boundary scan starts past the sign change", c, window[0], window)
     for b in _BETA_SCAN[1:]:
         g_b = g(b)
         if g_prev > 0.0 >= g_b:
             return s / brentq(g, prev, b, xtol=1e-14, rtol=1e-12, maxiter=200)
         prev, g_prev = b, g_b
-    return 0.0
+    raise _failure("no boundary sign change", c, window[1], window)
 
 
 @dataclass(frozen=True)
@@ -287,23 +288,27 @@ _GAP_TOL = 1e-6
 def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hypothesis1Report:
     """Multi-start unconstrained field search against the opposed-z optimum.
 
-    The six field components are searched with Nelder-Mead restarts inside a
-    box of half-width 5 in units where spectral_norm(H_int) = 1 (shrunk by
-    1/beta when beta exceeds 1 in those units). Values are compared rather
-    than raw parameters: local rotations from canonicalization change the
-    optimal field's direction but not the achievable negativity. best_params
-    are reported in the caller's original units.
+    The six field components are searched by L-BFGS-B (finite-difference
+    gradient, scipy's default options) from the constrained optimum, from
+    zero field and from `restarts` uniform draws in a box of half-width 5, in
+    units where the spectral norm of H_int is 1 (shrunk by 1/beta when beta
+    exceeds 1 in those units). Values are compared rather than raw
+    parameters: local rotations from canonicalization change the optimal
+    field's direction but not the achievable negativity. best_params are
+    reported in the caller's original units; failed_restarts counts runs that
+    L-BFGS-B did not report as converged.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     j = np.asarray(j, dtype=float)
-    scale = spectral_norm(j)
+    c = canonicalize(j)
+    scale = c.norm
     if scale == 0.0:
         zero = np.zeros(6)
         return Hypothesis1Report(0.0, 0.0, zero, 0.0, restarts, 0, True)
     jn = j / scale
     beta_n = beta * scale
-    c = canonicalize(jn)
+    c = CanonicalCoupling(c.jx / scale, c.jy / scale, c.jz / scale, c.r1, c.r2)
     result = optimal_field(c, beta_n)
     constrained = result.n_op
     objective = _make_search_objective(jn, beta_n)
@@ -322,12 +327,7 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     best_params = np.zeros(6)
     failed = 0
     for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 3000, "maxfev": 3000},
-        )
+        res = minimize(objective, start, method="L-BFGS-B")
         if not res.success:
             failed += 1
         if -res.fun > best_value:

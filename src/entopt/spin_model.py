@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eigen, svd3
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -23,8 +21,8 @@ PAULI_BASIS = np.array(
     + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
 )
 
-# Absolute slack of each inequality in is_canonical_diagonal.
-_ATOL = 1e-12
+# Slack of each inequality in is_canonical_diagonal, relative to |jx| + |jy| + |jz|.
+_RTOL = 1e-12
 
 
 def _as_coupling_matrix(j) -> np.ndarray:
@@ -51,10 +49,11 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
 
 def is_canonical_diagonal(jx: float, jy: float, jz: float) -> bool:
     """True when either {jx, jy} >= jz >= 0 or 0 >= jz >= {jx, jy}, with |jz| minimal."""
-    if abs(jz) > min(abs(jx), abs(jy)) + _ATOL:
+    tol = _RTOL * (abs(jx) + abs(jy) + abs(jz))
+    if abs(jz) > min(abs(jx), abs(jy)) + tol:
         return False
-    afm = jx >= jz - _ATOL and jy >= jz - _ATOL and jz >= -_ATOL
-    fm = jz <= _ATOL and jz >= jx - _ATOL and jz >= jy - _ATOL
+    afm = jx >= jz - tol and jy >= jz - tol and jz >= -tol
+    fm = jz <= tol and jz >= jx - tol and jz >= jy - tol
     return afm or fm
 
 
@@ -85,6 +84,11 @@ class CanonicalCoupling:
         return np.array([self.jx, self.jy, self.jz])
 
     @property
+    def norm(self) -> float:
+        """|jx| + |jy| + |jz|, the spectral norm of the interaction Hamiltonian."""
+        return abs(self.jx) + abs(self.jy) + abs(self.jz)
+
+    @property
     def sign_class(self) -> str:
         """'afm' for the all-non-negative class, 'fm' for the all-non-positive one."""
         return "fm" if min(self.jx, self.jy, self.jz) < 0 else "afm"
@@ -101,10 +105,9 @@ def canonicalize(j) -> CanonicalCoupling:
     deterministic order.
     """
     j = _as_coupling_matrix(j)
-    u, sigma, w = svd3(j)
-    r1 = u.copy()
-    r2 = w.T.copy()
-    d = sigma.copy()
+    # r1 @ J @ r2.T = diag(d) with r1 = U^T, r2 = Vh and d sorted descending
+    u, d, r2 = np.linalg.svd(j)
+    r1 = u.T.copy()
     # Inversions cannot be realized by spin rotations; trade them for a sign
     # on the smallest singular value.
     if np.linalg.det(r1) < 0:
@@ -129,9 +132,3 @@ def canonicalize(j) -> CanonicalCoupling:
     else:
         d = np.abs(d)  # det J = 0 may leave a -0.0 in the z slot
     return CanonicalCoupling(float(d[0]), float(d[1]), float(d[2]), r1, r2)
-
-
-def spectral_norm(j) -> float:
-    """Largest absolute interaction eigenvalue (the operator 2-norm of H_int)."""
-    values, _ = hermitian_eigen(build_hamiltonian(j))
-    return float(np.max(np.abs(values)))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import entopt
 import entopt.cli as cli
 from entopt.optimizer import Hypothesis1Report, NumericalFailure
 
@@ -226,10 +228,14 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports entopt from where this process found it
+    src = os.path.dirname(os.path.dirname(entopt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "entopt", "boundary", "--diag", "0.25,0.25,0.25"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["t_c"] == pytest.approx(0.8168 * 0.75, abs=1e-3)

@@ -6,7 +6,6 @@ from entopt.linalg import (
     NonHermitianError,
     hermitian_eigen,
     hermiticity_defect,
-    svd3,
 )
 from entopt.spin_model import IDENTITY_2, SIGMA_Z
 
@@ -42,32 +41,3 @@ def test_eigen_reconstruction_bulk():
         assert np.max(np.abs(rebuilt - m)) <= 1e-10 * scale
         assert np.all(np.diff(values) >= 0)
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-10
-
-
-def test_svd3_identity_and_signed_diagonal():
-    u, s, w = svd3(np.eye(3))
-    assert np.allclose(s, [1, 1, 1])
-    _, s, _ = svd3(np.diag([3.0, -2.0, 1.0]))
-    assert np.allclose(s, [3, 2, 1])
-
-
-def test_svd3_reconstruction_and_invariance():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        j = rng.normal(size=(3, 3))
-        u, s, w = svd3(j)
-        assert np.max(np.abs(u @ j @ w - np.diag(s))) <= 1e-12 * max(1.0, np.max(np.abs(j)))
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert abs(abs(np.linalg.det(u)) - 1) <= 1e-12
-        assert abs(abs(np.linalg.det(w)) - 1) <= 1e-12
-        # singular values are invariant under rotations on either side
-        theta = rng.uniform(0, 2 * np.pi)
-        rot = np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0.0],
-                [np.sin(theta), np.cos(theta), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        _, s2, _ = svd3(rot @ j)
-        assert np.allclose(s, s2, atol=1e-12)

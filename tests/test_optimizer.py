@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from conftest import random_canonical
 
 from entopt.asymptotics import high_t_hop_exact, low_t_asymptote
 from entopt.closed_form import negativity_tilde
+import entopt.cli as cli
 import entopt.optimizer as optimizer
 from entopt.optimizer import (
     NumericalFailure,
@@ -165,12 +168,27 @@ def test_boundary_ising_corner():
     assert boundary_temperature(CanonicalCoupling(1.0, 0.0, 0.0)) == 0.0
 
 
+def test_boundary_below_the_first_window():
+    # T_c far below 1e-3 of the coupling scale is still found, and the phase
+    # changes across it; only a degenerate ground level gives T_c = 0
+    cases = [
+        (CanonicalCoupling(-0.5, -0.25, -0.249), 2.24e-4, 2.37e-4),
+        (CanonicalCoupling(1.0, 1e-6, 0.0), 1.19e-7, 1.26e-7),
+        (CanonicalCoupling(-0.5, -0.25, -0.25 + 1e-12), 6.0e-14, 7.0e-14),
+    ]
+    for c, lo, hi in cases:
+        t_c = boundary_temperature(c)
+        assert lo <= t_c <= hi
+        assert optimal_field(c, 1.0 / (0.5 * t_c)).phase == "low_t"
+        assert optimal_field(c, 1.0 / (2.0 * t_c)).phase == "high_t"
+
+
 def test_boundary_scales_with_coupling():
     strong = CanonicalCoupling(100 / 3, 100 / 3, 100 / 3)
     assert boundary_temperature(strong) == pytest.approx(81.68, abs=0.1)
 
 
-def test_solvers_are_scale_covariant():
+def test_solvers_are_scale_covariant(capsys):
     # N~ depends on J, h and beta only through beta*J and beta*h, so scaling the
     # coupling by s scales T_c and h_op by s and leaves n_op unchanged
     def scaled(c, s):
@@ -196,6 +214,18 @@ def test_solvers_are_scale_covariant():
         assert boundary_temperature(scaled(ISO, j)) == pytest.approx(
             j * boundary_temperature(ISO), rel=1e-10, abs=0.0
         )
+
+    # a non-canonical diagonal is canonicalized at every scale
+    def cli_n_op(s):
+        t = f"{s:.17g}"
+        argv = ["optimize", "--diag", f"{s:.17g},{s:.17g},{-5 * s:.17g}",
+                "--t-min", t, "--t-max", t, "--t-points", "1", "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "warning" in payload
+        return payload["rows"][0][payload["columns"].index("n_op")]
+
+    assert cli_n_op(1e-13) == pytest.approx(cli_n_op(1.0), rel=1e-12, abs=0.0)
 
 
 def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
@@ -288,6 +318,23 @@ def test_verify_hypothesis_quick():
     assert report.restarts == 8
     assert report.best_params.shape == (6,)
     assert report.passed
+
+
+def test_verify_hypothesis_search_finds_optimum_unseeded(monkeypatch):
+    # with the seeded start moved to zero field, the restarts alone must still
+    # reach the opposed-z optimum on three of criterion 9's configurations
+    # whose optimal field is far from zero
+    def zero_field_seed(c, beta):
+        return dataclasses.replace(true_optimal_field(c, beta), h_op=0.0)
+
+    true_optimal_field = optimizer.optimal_field
+    monkeypatch.setattr(optimizer, "optimal_field", zero_field_seed)
+    rng = np.random.default_rng(99)
+    couplings = [rng.normal(size=(3, 3)) for _ in range(10)]
+    configs = [(j, beta, rng.integers(1 << 31)) for j in couplings for beta in (0.3, 1.0, 3.0)]
+    for j, beta, seed in (configs[i] for i in (0, 6, 28)):
+        report = verify_hypothesis1(j, beta, restarts=64, seed=seed)
+        assert report.unconstrained_best >= report.constrained_best - 1e-9
 
 
 def test_verify_hypothesis_deterministic():

@@ -8,7 +8,6 @@ from entopt.spin_model import (
     build_hamiltonian,
     canonicalize,
     is_canonical_diagonal,
-    spectral_norm,
 )
 
 DM_EXAMPLE = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, -2.0]])
@@ -144,6 +143,9 @@ def test_from_diagonal_validation():
         CanonicalCoupling(1 / 6, 1 / 3, 1 / 2)  # |jz| not minimal
     with pytest.raises(ValueError, match="finite"):
         CanonicalCoupling(np.inf, np.inf, np.inf)
+    # the slack scales with the coupling, so tiny couplings are checked too
+    with pytest.raises(ValueError, match="canonical"):
+        CanonicalCoupling(1e-13, 1e-13, -5e-13)
 
 
 def test_interaction_eigensystem_isotropic():
@@ -165,8 +167,11 @@ def test_interaction_eigensystem_vs_eigensolver():
         assert np.allclose(h @ state, energy * state, atol=1e-12)
 
 
-def test_spectral_norm_examples():
-    assert spectral_norm(np.diag([1 / 3, 1 / 3, 1 / 3])) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_norm(np.diag([1 / 2, 1 / 3, 1 / 6])) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
-
+def test_norm_is_interaction_spectral_norm():
+    assert CanonicalCoupling(1 / 3, 1 / 3, 1 / 3).norm == pytest.approx(1.0, abs=1e-12)
+    assert CanonicalCoupling(1 / 2, 1 / 3, 1 / 6).norm == pytest.approx(1.0, abs=1e-12)
+    assert CanonicalCoupling(0.0, 0.0, 0.0).norm == 0.0
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        c = canonicalize(rng.normal(size=(3, 3)) * 10 ** rng.uniform(-6, 6))
+        assert c.norm == pytest.approx(np.max(np.abs(spectrum(np.diag(c.diagonal)))), rel=1e-12)
