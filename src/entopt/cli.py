@@ -27,6 +27,7 @@ from .optimizer import (
     NumericalFailure,
     PhasePoint,
     boundary_temperature,
+    d2n_op_dt2_jump,
     enhancement_curve,
     optimal_field,
     phase_diagram,
@@ -216,7 +217,9 @@ def _grid_values(args) -> np.ndarray:
 
 def _cmd_boundary(args) -> None:
     c, warning = _canonical_from_args(args)
-    record = {"t_c": boundary_temperature(c)}
+    t_c = boundary_temperature(c)
+    jump = d2n_op_dt2_jump(c, t_c) if t_c > 0.0 else None
+    record = {"t_c": t_c, "d2n_op_dt2_jump": jump}
     if warning:
         record["warning"] = warning
     _write_record(args, {"command": "boundary", "coupling": [c.jx, c.jy, c.jz]}, record)

@@ -197,6 +197,52 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     raise _failure("no boundary sign change", c, window[1], window)
 
 
+def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
+    """N_b, N_bb, J N_bJ and J^2 N_JJ: derivatives of N~ in beta and J = sqrt(4 h^2 + jt^2).
+
+    N~ = (S - A)/(A + C) with A = exp(-2 beta jz) cosh(beta j1),
+    S = jt sinh(beta J)/J and C = cosh(beta J), where jt = |jx + jy| and
+    j1 = |jx - jy|: the field enters only through J, and A does not depend on
+    it. Every exponential carries the factor exp(-m), which N~ and its
+    quotient-rule derivatives do not see. The numerator of
+    N_b = ((S - A)_b (A + C) - (S - A)(A + C)_b)/(A + C)^2 reduces to
+    jt + A (S_b + C_b) - A_b (C + S), and its beta derivative to
+    (C + S)(J^2 A - A_bb); on a canonical coupling both are sums of
+    non-negative terms, so N_b and N_bb keep their precision where N~ -> 1.
+    Needs J > 0.
+    """
+    jt = abs(c.jx + c.jy)
+    j1 = abs(c.jx - c.jy)
+    j = math.hypot(2.0 * h, c.jx + c.jy)
+    h4 = 4.0 * h * h  # J^2 - jt^2
+    x = beta * j
+    # A = (exp(beta kp) + exp(-beta km))/2; jt - kp, jt + kp, jt - km, jt + km >= 0
+    kp, km = j1 - 2.0 * c.jz, j1 + 2.0 * c.jz
+    m = max(x, beta * kp)
+    ep, em = math.exp(x - m), math.exp(-x - m)
+    ch, sh = 0.5 * (ep + em), 0.5 * (ep - em)
+    xc = _xcoshx_minus_sinhx(x) * math.exp(-m) if x < 0.2 else x * ch - sh
+    ap, am = 0.5 * math.exp(beta * kp - m), 0.5 * math.exp(-beta * km - m)
+    cs = ch + jt * sh / j  # C + S
+    a = ap + am
+    g = a + ch  # A + C
+    g_b = kp * ap - km * am + j * sh
+    n = (jt * sh / j - a) / g
+    q = h4 * sh / j  # S_b + C_b - k (C + S) = (jt - k)(C + S) + q
+    num = jt * math.exp(-2.0 * m) + ap * ((jt - kp) * cs + q) + am * ((jt + km) * cs + q)
+    num_b = cs * (ap * (h4 + (jt - kp) * (jt + kp)) + am * (h4 + (jt + km) * (jt - km)))
+    n_b = num / (g * g)
+    n_bb = (num_b * g - 2.0 * num * g_b) / (g * g * g)
+    # J-derivatives times powers of J, free of beta^2 and J^3 factors that
+    # leave the float range at extreme beta * s
+    xs = x * sh  # J C_J
+    jn_j = (jt * xc / j - n * xs) / g
+    jn_bj = (jt * xs - n_b * xs - jn_j * g_b - n * j * (sh + x * ch)) / g
+    # S - N~ C = A (1 + N~) holds exactly and keeps J^2 N_JJ accurate where N~ -> 1
+    j2n_jj = (x * (x * a) * (1.0 + n) - 2.0 * (jt * xc / j + jn_j * xs)) / g
+    return n_b, n_bb, jn_bj, j2n_jj
+
+
 @dataclass(frozen=True)
 class EnhancementPoint:
     t: float
@@ -214,8 +260,13 @@ class EnhancementPoint:
 def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     """Optimized vs zero-field negativity and purity along a temperature sweep.
 
-    Derivatives of the optimized negativity in T use central differences with
-    step 1e-4 * T.
+    One optimal_field solve per temperature. The temperature derivatives of
+    N_op are exact at (h_op, beta): dN_op/dbeta = N_b by the envelope theorem
+    (N~ is stationary in h at h_op, and even in h at h = 0), and
+    d^2N_op/dbeta^2 = N_bb - N_bJ^2/N_JJ in the high_t phase by the
+    implicit-function theorem on N_J = 0, or N_bb at the fixed J = |jx + jy|
+    in the low_t phase (see _negativity_derivatives). Rows whose n_op is
+    clamped to 0 get 0 in both derivative columns.
     """
     rows = []
     for t in temps:
@@ -227,9 +278,16 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
             build_hamiltonian(c.diagonal, (0.0, 0.0, res.h_op), (0.0, 0.0, -res.h_op)), beta
         )
         rho_zero, _ = gibbs_state(build_hamiltonian(c.diagonal), beta)
-        dt = 1e-4 * t
-        n_plus = optimal_field(c, 1.0 / (t + dt)).n_op
-        n_minus = optimal_field(c, 1.0 / (t - dt)).n_op
+        d1 = d2 = 0.0
+        if res.n_op > 0.0:
+            n_b, n_bb, jn_bj, j2n_jj = _negativity_derivatives(c, res.h_op, beta)
+            if res.phase == "high_t":
+                n_bb -= jn_bj * jn_bj / j2n_jj
+            # dT = -dbeta/beta^2. One factor of beta at a time, so an
+            # underflowed N_b never meets an overflowed beta^4 (0 * inf), and
+            # + 0.0 turns -0.0 into 0.0.
+            d1 = -beta * (beta * n_b) + 0.0
+            d2 = beta * (beta * (beta * (beta * n_bb + 2.0 * n_b))) + 0.0
         rows.append(
             EnhancementPoint(
                 t=t,
@@ -239,12 +297,23 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
                 enhancement=res.n_op - n_zero,
                 purity_op=purity(rho_op),
                 purity_zero=purity(rho_zero),
-                dn_op_dt=(n_plus - n_minus) / (2.0 * dt),
-                d2n_op_dt2=(n_plus - 2.0 * res.n_op + n_minus) / (dt * dt),
+                dn_op_dt=d1,
+                d2n_op_dt2=d2,
                 phase=res.phase,
             )
         )
     return rows
+
+
+def d2n_op_dt2_jump(c: CanonicalCoupling, t_c: float) -> float:
+    """d^2N_op/dT^2 just above the boundary temperature t_c > 0 minus just below.
+
+    Both phases meet at J = |jx + jy|, where N_J = 0, so the jump is the
+    implicit-function term of the high_t phase alone: beta_c^4 N_bJ^2/|N_JJ|.
+    """
+    beta = 1.0 / t_c
+    _, _, jn_bj, j2n_jj = _negativity_derivatives(c, 0.0, beta)
+    return beta * (beta * (beta * (beta * jn_bj * jn_bj))) / abs(j2n_jj)
 
 
 def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:

@@ -1,3 +1,10 @@
+import os
+
+# Pin the BLAS and OpenMP pools before numpy loads: on 4x4 problems a second
+# thread only burns CPU. An explicit setting in the environment still wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from entopt import CanonicalCoupling

@@ -57,7 +57,9 @@ def test_boundary_scalar(capsys):
 def test_boundary_ising_is_zero(capsys):
     code, out = run_cli(capsys, "boundary", "--diag", "0,1,0")
     assert code == 0
-    assert json.loads(out)["t_c"] == 0.0
+    record = json.loads(out)
+    assert record["t_c"] == 0.0
+    assert record["d2n_op_dt2_jump"] is None
 
 
 def test_optimize_csv_shape_and_warning(capsys):
@@ -249,7 +251,7 @@ README_COMMANDS = [
         "2a57fdabf8fe",
         "det_r1,det_r2,jx,jy,jz,r1,r2,sign_class,spectrum_residual",
     ),
-    (["boundary", "--diag", ISO_README], "70f3e66cc1d3", "t_c"),
+    (["boundary", "--diag", ISO_README], "70f3e66cc1d3", "d2n_op_dt2_jump,t_c"),
     (
         ["optimize", "--diag", FIG3_README, "--t-min", "0.01", "--t-max", "10",
          "--t-points", "3000", "--out", "optimize.csv"],

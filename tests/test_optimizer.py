@@ -15,6 +15,7 @@ from entopt.optimizer import (
     _make_search_objective,
     _stationarity_scaled,
     boundary_temperature,
+    d2n_op_dt2_jump,
     enhancement_curve,
     optimal_field,
     phase_diagram,
@@ -201,6 +202,7 @@ def test_solvers_are_scale_covariant(capsys):
         t = max(1.2 * t_c, 10 ** rng.uniform(-0.3, 0.7))
         ref = optimal_field(c, 1.0 / t)
         assert ref.phase == "high_t"
+        ref_row = enhancement_curve(c, [t])[0]
         for k in range(-9, 10):
             s = 10.0**k
             sc = scaled(c, s)
@@ -208,6 +210,10 @@ def test_solvers_are_scale_covariant(capsys):
             res = optimal_field(sc, 1.0 / (s * t))
             assert res.h_op == pytest.approx(s * ref.h_op, rel=1e-10, abs=0.0)
             assert res.n_op == pytest.approx(ref.n_op, rel=1e-12, abs=0.0)
+            # dN_op/dT scales as 1/s and d2N_op/dT2 as 1/s^2
+            row = enhancement_curve(sc, [s * t])[0]
+            assert row.dn_op_dt * s == pytest.approx(ref_row.dn_op_dt, rel=1e-6, abs=0.0)
+            assert row.d2n_op_dt2 * s * s == pytest.approx(ref_row.d2n_op_dt2, rel=1e-4, abs=0.0)
     # the isotropic couplings on which the fixed beta window returned 0.0,
     # drifted, or failed to bracket
     for j in (1e-3, 1e6, 1e7):
@@ -292,6 +298,76 @@ def test_enhancement_curve_above_boundary():
         assert row.purity_op > row.purity_zero  # the field purifies the state
         assert math.isfinite(row.dn_op_dt) and math.isfinite(row.d2n_op_dt2)
         assert row.dn_op_dt < 0.0  # optimized negativity decays with temperature
+
+
+def central_difference_derivatives(c, t):
+    """dN_op/dT and d2N_op/dT2 by central differences with step dt = 1e-4 * T.
+
+    Returns both with n_op and dt: rounding in n_op alone puts about
+    eps * n_op / dt into the first and eps * n_op / dt^2 into the second.
+    """
+    dt = 1e-4 * t
+    n = optimal_field(c, 1.0 / t).n_op
+    n_plus = optimal_field(c, 1.0 / (t + dt)).n_op
+    n_minus = optimal_field(c, 1.0 / (t - dt)).n_op
+    return (n_plus - n_minus) / (2.0 * dt), (n_plus - 2.0 * n + n_minus) / (dt * dt), n, dt
+
+
+def ratio_diagonal(x, y, sign):
+    """The one-sign diagonal (x, y, 1)/(x + y + 1), times sign; spectral norm 1."""
+    norm = x + y + 1.0
+    return CanonicalCoupling(sign * x / norm, sign * y / norm, sign / norm)
+
+
+# One coupling from each class of the benchmark's sweep: AFM, FM, degenerate
+# FM (jy = jz, T_c = 0) and jx ~ jy.
+SWEEP_CLASSES = [
+    ratio_diagonal(4.0, 2.0, 1.0),
+    ratio_diagonal(4.0, 2.0, -1.0),
+    ratio_diagonal(4.0, 1.0, -1.0),
+    ratio_diagonal(3.0 * (1.0 + 1e-6), 3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "c", [FIG3, ISO] + SWEEP_CLASSES, ids=["fig3", "iso", "afm", "fm", "fm_degenerate", "jx_jy"]
+)
+def test_derivative_columns_match_finite_difference_oracle(c):
+    # within the stencil's truncation and rounding; rows whose stencil
+    # straddles T_c, where d2N_op/dT2 jumps, are skipped
+    eps = np.finfo(float).eps
+    t_c = boundary_temperature(c)
+    temps = [t for t in np.geomspace(0.01, 10.0, 200) if abs(t - t_c) > 2e-3 * t_c]
+    for row in enhancement_curve(c, temps):
+        d1, d2, n, dt = central_difference_derivatives(c, row.t)
+        assert abs(row.dn_op_dt - d1) <= 1e-6 * abs(d1) + 4.0 * eps * n / dt
+        assert abs(row.d2n_op_dt2 - d2) <= 1e-4 * abs(d2) + 16.0 * eps * n / dt**2
+
+
+def test_derivative_columns_print_zero_not_negative_zero(capsys):
+    # at T = 1e-3 of the coupling scale N_op is 1 to within underflow
+    for c in (FIG3, ISO):
+        argv = ["optimize", "--diag", f"{c.jx!r},{c.jy!r},{c.jz!r}",
+                "--t-min", "1e-3", "--t-max", "1e-3", "--t-points", "1"]
+        assert cli.main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()[1:3]
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["phase"] == "low_t"
+        assert values["dn_op_dt"] == "0"
+        assert values["d2n_op_dt2"] == "0"
+
+
+def test_d2n_op_dt2_jump_matches_one_sided_differences():
+    # one-sided second differences across T_c have an O(delta) bias, which
+    # Richardson extrapolation from delta and delta / 2 removes
+    def jump(c, t_c, delta):
+        n = [optimal_field(c, 1.0 / (t_c + k * delta)).n_op for k in range(-2, 3)]
+        return (n[4] - 2.0 * n[3] + n[2]) / delta**2 - (n[2] - 2.0 * n[1] + n[0]) / delta**2
+
+    for c in (FIG3, ISO):
+        t_c = boundary_temperature(c)
+        ref = 2.0 * jump(c, t_c, 5e-4) - jump(c, t_c, 1e-3)
+        assert d2n_op_dt2_jump(c, t_c) == pytest.approx(ref, rel=2e-3)
 
 
 def test_no_singularity_at_enhancement_maximum():
