@@ -1,9 +1,9 @@
 """Exact numerical maximization of the negativity over local fields.
 
 The opposed-z-field negativity N~ is stationary in the field strength h at
-the roots of a bracketed expression proportional to (1/h) dN~/dh (the trivial
-h = 0 root removed). That expression drives three solvers: the optimal field
-at fixed temperature, the boundary temperature splitting the zero-field and
+the roots of J dN~/dJ = (J^2/4)(1/h) dN~/dh (the trivial h = 0 root removed;
+see closed_form). That expression drives three solvers: the optimal field at
+fixed temperature, the boundary temperature splitting the zero-field and
 finite-field phases, and the temperature sweeps behind the reference curves.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .asymptotics import _degenerate_axes
-from .closed_form import negativity_tilde
+from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
 from .measures import _negativity, _pt_spectrum
 from .spin_model import (
     PAULI_BASIS,
@@ -58,54 +58,6 @@ class Hypothesis1Report:
     passed: bool
 
 
-def _xcoshx_minus_sinhx(x: float) -> float:
-    # x cosh x - sinh x; series below x = 0.2 to dodge the cancellation
-    if x < 0.2:
-        x2 = x * x
-        return x * x2 * (1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (1.0 / 840.0 + x2 / 45360.0)))
-    return x * math.cosh(x) - math.sinh(x)
-
-
-def _half_sinh2x_minus_x(x: float) -> float:
-    # sinh(2x)/2 - x, same cancellation guard
-    if x < 0.2:
-        x2 = x * x
-        return x * x2 * (2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (4.0 / 315.0 + x2 * 2.0 / 2835.0)))
-    return 0.5 * math.sinh(2.0 * x) - x
-
-
-def _stationarity_scaled(c: CanonicalCoupling, h: float, beta: float):
-    """The stationarity expression times exp(-m), with the scale m returned.
-
-    The expression is (1/h) dN~/dh times the positive factor
-    J2^3 Z^2 / (16 cosh(beta J1)), with the trivial h = 0 root removed, so its
-    sign and roots are those of the negativity's field derivative. The
-    rescale keeps every exponential representable at large beta*J2 and is
-    positive, so signs and roots are unchanged. Finite at h = 0, where
-    J2 -> |jx + jy|.
-    """
-    jt = abs(c.jx + c.jy)
-    j1 = abs(c.jx - c.jy)
-    jz = c.jz
-    j2 = math.hypot(2.0 * h, c.jx + c.jy)
-    x = beta * j2
-    if x < 0.2:
-        # All competing exponents are bounded by small multiples of x here.
-        t1 = jt * _xcoshx_minus_sinhx(x)
-        t2 = j2 * x * math.sinh(x)
-        t3 = jt * math.exp(2.0 * beta * jz) / math.cosh(beta * j1) * _half_sinh2x_minus_x(x)
-        return t1 + t2 - t3, 0.0
-    m = max(x, 2.0 * x + 2.0 * beta * jz - beta * j1)
-    exm = math.exp(x - m)
-    enxm = math.exp(-x - m)
-    t1 = jt * (x * (exm + enxm) - (exm - enxm)) * 0.5
-    t2 = j2 * x * (exm - enxm) * 0.5
-    v = 2.0 * beta * jz - beta * j1 - m
-    bracket = 0.25 * (math.exp(2.0 * x + v) - math.exp(-2.0 * x + v)) - x * math.exp(v)
-    t3 = jt * bracket * 2.0 / (1.0 + math.exp(-2.0 * beta * j1))
-    return t1 + t2 - t3, m
-
-
 def _unit(c: CanonicalCoupling) -> float:
     """The power of two nearest |jx| + |jy| + |jz|, the spectral norm of a canonical coupling.
 
@@ -133,13 +85,13 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     """
     beta = _validate_beta(beta)
     jt = abs(c.jx + c.jy)
-    if jt == 0.0 or _stationarity_scaled(c, 0.0, beta)[0] <= 0.0:
+    if jt == 0.0 or _stationarity_scaled(c, 0.0, beta) <= 0.0:
         n0 = max(negativity_tilde(c, 0.0, beta), 0.0)
         return OptimizationResult(0.0, n0, "low_t", (0.0, 0.0), 0)
     s = _unit(c)
 
     def stationarity(u):
-        return _stationarity_scaled(c, s * u, beta)[0]
+        return _stationarity_scaled(c, s * u, beta)
 
     t = 1.0 / (beta * s)
     u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
@@ -167,7 +119,9 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
 
 # The boundary scan's beta grid, in units of 1/s (see _unit): 40 points per
 # decade from 1e-3, first to 1e3 and then on to 1e16.
-_BETA_SCAN = np.concatenate((np.geomspace(1e-3, 1e3, 241), np.geomspace(1e3, 1e16, 521)[1:]))
+_BETA_SCAN = tuple(
+    np.concatenate((np.geomspace(1e-3, 1e3, 241), np.geomspace(1e3, 1e16, 521)[1:])).tolist()
+)
 
 
 def boundary_temperature(c: CanonicalCoupling) -> float:
@@ -182,7 +136,7 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     s = _unit(c)
 
     def g(b):
-        return _stationarity_scaled(c, 0.0, b / s)[0]
+        return _stationarity_scaled(c, 0.0, b / s)
 
     window = (_BETA_SCAN[0] / s, _BETA_SCAN[-1] / s)
     prev = _BETA_SCAN[0]
@@ -195,52 +149,6 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
             return s / brentq(g, prev, b, xtol=1e-14, rtol=1e-12, maxiter=200)
         prev, g_prev = b, g_b
     raise _failure("no boundary sign change", c, window[1], window)
-
-
-def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
-    """N_b, N_bb, J N_bJ and J^2 N_JJ: derivatives of N~ in beta and J = sqrt(4 h^2 + jt^2).
-
-    N~ = (S - A)/(A + C) with A = exp(-2 beta jz) cosh(beta j1),
-    S = jt sinh(beta J)/J and C = cosh(beta J), where jt = |jx + jy| and
-    j1 = |jx - jy|: the field enters only through J, and A does not depend on
-    it. Every exponential carries the factor exp(-m), which N~ and its
-    quotient-rule derivatives do not see. The numerator of
-    N_b = ((S - A)_b (A + C) - (S - A)(A + C)_b)/(A + C)^2 reduces to
-    jt + A (S_b + C_b) - A_b (C + S), and its beta derivative to
-    (C + S)(J^2 A - A_bb); on a canonical coupling both are sums of
-    non-negative terms, so N_b and N_bb keep their precision where N~ -> 1.
-    Needs J > 0.
-    """
-    jt = abs(c.jx + c.jy)
-    j1 = abs(c.jx - c.jy)
-    j = math.hypot(2.0 * h, c.jx + c.jy)
-    h4 = 4.0 * h * h  # J^2 - jt^2
-    x = beta * j
-    # A = (exp(beta kp) + exp(-beta km))/2; jt - kp, jt + kp, jt - km, jt + km >= 0
-    kp, km = j1 - 2.0 * c.jz, j1 + 2.0 * c.jz
-    m = max(x, beta * kp)
-    ep, em = math.exp(x - m), math.exp(-x - m)
-    ch, sh = 0.5 * (ep + em), 0.5 * (ep - em)
-    xc = _xcoshx_minus_sinhx(x) * math.exp(-m) if x < 0.2 else x * ch - sh
-    ap, am = 0.5 * math.exp(beta * kp - m), 0.5 * math.exp(-beta * km - m)
-    cs = ch + jt * sh / j  # C + S
-    a = ap + am
-    g = a + ch  # A + C
-    g_b = kp * ap - km * am + j * sh
-    n = (jt * sh / j - a) / g
-    q = h4 * sh / j  # S_b + C_b - k (C + S) = (jt - k)(C + S) + q
-    num = jt * math.exp(-2.0 * m) + ap * ((jt - kp) * cs + q) + am * ((jt + km) * cs + q)
-    num_b = cs * (ap * (h4 + (jt - kp) * (jt + kp)) + am * (h4 + (jt + km) * (jt - km)))
-    n_b = num / (g * g)
-    n_bb = (num_b * g - 2.0 * num * g_b) / (g * g * g)
-    # J-derivatives times powers of J, free of beta^2 and J^3 factors that
-    # leave the float range at extreme beta * s
-    xs = x * sh  # J C_J
-    jn_j = (jt * xc / j - n * xs) / g
-    jn_bj = (jt * xs - n_b * xs - jn_j * g_b - n * j * (sh + x * ch)) / g
-    # S - N~ C = A (1 + N~) holds exactly and keeps J^2 N_JJ accurate where N~ -> 1
-    j2n_jj = (x * (x * a) * (1.0 + n) - 2.0 * (jt * xc / j + jn_j * xs)) / g
-    return n_b, n_bb, jn_bj, j2n_jj
 
 
 @dataclass(frozen=True)
@@ -265,8 +173,8 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     (N~ is stationary in h at h_op, and even in h at h = 0), and
     d^2N_op/dbeta^2 = N_bb - N_bJ^2/N_JJ in the high_t phase by the
     implicit-function theorem on N_J = 0, or N_bb at the fixed J = |jx + jy|
-    in the low_t phase (see _negativity_derivatives). Rows whose n_op is
-    clamped to 0 get 0 in both derivative columns.
+    in the low_t phase (see closed_form._negativity_derivatives). Rows whose
+    n_op is clamped to 0 get 0 in both derivative columns.
     """
     rows = []
     for t in temps:

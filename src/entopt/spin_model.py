@@ -72,7 +72,8 @@ class CanonicalCoupling:
     r2: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        d = (self.jx, self.jy, self.jz)
+        # Python floats: numpy scalars would tax every step of the scalar solvers
+        self.jx, self.jy, self.jz = d = (float(self.jx), float(self.jy), float(self.jz))
         if not (all(map(math.isfinite, d)) and is_canonical_diagonal(*d)):
             raise ValueError(
                 f"({self.jx}, {self.jy}, {self.jz}) is not a finite canonical diagonal "

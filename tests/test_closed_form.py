@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_canonical
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entopt.closed_form import closed_form_params, negativity_tilde, pt_spectrum
 from entopt.measures import partial_transpose
@@ -145,3 +147,38 @@ def test_positive_negativity_reachable_at_any_temperature():
             h_cap = 10.0 * max(1.0, t * math.log(max(t, 2.0)))
             hs = np.linspace(0.0, h_cap, 400)
             assert any(negativity_tilde(c, h, beta) > 0.0 for h in hs)
+
+
+@st.composite
+def regime_points(draw):
+    """(coupling, h, beta) with beta s in [1e-4, 1e4] and the scale s over six decades.
+
+    A third of the couplings have jx ~ jy (relative gap below 1e-9), a third
+    have |jz| at most 1e-9 of the scale, down to 0 (det J = 0).
+    """
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    big, mid, small = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))[::-1]
+    kind = draw(st.sampled_from(["generic", "jx_jy", "det_zero"]))
+    if kind == "jx_jy":
+        mid = big * (1.0 - draw(st.floats(0.0, 1e-9)))
+        small = min(small, mid)
+    elif kind == "det_zero":
+        small = draw(st.sampled_from([0.0, 1e-9 * draw(st.floats(0.0, 1.0))]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    c = CanonicalCoupling(sign * big * scale, sign * mid * scale, sign * small * scale)
+    h = scale * draw(st.floats(0.0, 10.0))
+    beta = 10.0 ** draw(st.floats(-4.0, 4.0)) / scale
+    return c, h, beta
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(regime_points())
+def test_closed_form_matches_brute_force_at_regime_edges(point):
+    c, h, beta = point
+    brute = brute_force_pt_spectrum(c, h, beta)
+    spec = pt_spectrum(closed_form_params(c, h, beta))
+    assert np.max(np.abs(np.sort(spec) - brute)) <= 1e-10
+    # N~ is -2 times the one sign-indefinite eigenvalue, the negativity once clamped
+    n_tilde = negativity_tilde(c, h, beta)
+    assert n_tilde == pytest.approx(-2.0 * spec[0], abs=1e-10)
+    assert max(n_tilde, 0.0) == pytest.approx(max(-2.0 * brute[0], 0.0), abs=1e-10)

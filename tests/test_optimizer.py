@@ -30,25 +30,8 @@ FIG3 = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)
 FERRO_DEGEN = CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)
 
 
-def dn_dh_over_h(c, h, beta):
-    """The stationarity expression at its true scale.
-
-    Equals (1/h) dN~/dh times the positive factor J2^3 Z^2 / (16 cosh(beta J1)),
-    with the trivial h = 0 root removed. Overflows to +-inf (sign intact) once
-    beta*J2 is large enough that the true value exceeds the float range.
-    """
-    value, m = _stationarity_scaled(c, h, beta)
-    if m > 709.0:
-        return math.copysign(math.inf, value) if value != 0.0 else 0.0
-    return value * math.exp(m)
-
-
 def stationarity_from_finite_differences(c, h, beta):
-    """(1/h) dN~/dh rescaled to the bracketed stationarity expression.
-
-    The positive conversion factor J2^3 Z^2 / (16 e^(beta Jz) cosh(beta J1)
-    e^(-beta Jz)) is derived independently from the closed form.
-    """
+    """(1/h) dN~/dh rescaled to J dN~/dJ = (J^2/4)(1/h) dN~/dh, J = sqrt(4 h^2 + jt^2)."""
     if h == 0.0:
         # N~(h) is even in h; Richardson-extrapolate 2(N~(d) - N~(0))/d^2
         delta = 2e-3
@@ -62,11 +45,8 @@ def stationarity_from_finite_differences(c, h, beta):
         slope = (
             negativity_tilde(c, h + delta, beta) - negativity_tilde(c, h - delta, beta)
         ) / (2.0 * delta * h)
-    j1 = abs(c.jx - c.jy)
     j2 = math.hypot(2.0 * h, c.jx + c.jy)
-    a_raw = math.exp(-beta * c.jz) * math.cosh(beta * j1)
-    z_raw = 2.0 * a_raw + 2.0 * math.exp(beta * c.jz) * math.cosh(beta * j2)
-    return slope * j2**3 * z_raw**2 / (16.0 * math.exp(beta * c.jz) * a_raw)
+    return slope * j2**2 / 4.0
 
 
 def test_stationarity_matches_derivative_oracle():
@@ -75,14 +55,14 @@ def test_stationarity_matches_derivative_oracle():
         c = random_canonical(rng)
         h = rng.uniform(0.1, 3.0)
         beta = rng.uniform(0.3, 3.0)
-        got = dn_dh_over_h(c, h, beta)
+        got = _stationarity_scaled(c, h, beta)
         ref = stationarity_from_finite_differences(c, h, beta)
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
 def test_stationarity_h_zero_limit_oracle():
     for c, beta in ((FIG3, 1.0), (ISO, 0.5), (FERRO_DEGEN, 2.0)):
-        got = dn_dh_over_h(c, 0.0, beta)
+        got = _stationarity_scaled(c, 0.0, beta)
         ref = stationarity_from_finite_differences(c, 0.0, beta)
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
@@ -90,26 +70,25 @@ def test_stationarity_h_zero_limit_oracle():
 def test_stationarity_sign_structure_across_phases():
     # below T_c: single sign over the whole bracket
     beta = 1.0 / 0.5
-    values = [dn_dh_over_h(ISO, h, beta) for h in np.linspace(1e-6, 100.0, 500)]
+    values = [_stationarity_scaled(ISO, h, beta) for h in np.linspace(1e-6, 100.0, 500)]
     assert all(v < 0.0 for v in values)
     # above T_c: a sign change exists within (0, 20]
     beta = 1.0 / 2.0
-    assert dn_dh_over_h(ISO, 0.0, beta) > 0.0
-    assert any(dn_dh_over_h(ISO, h, beta) < 0.0 for h in np.linspace(0.1, 20.0, 200))
+    assert _stationarity_scaled(ISO, 0.0, beta) > 0.0
+    assert any(_stationarity_scaled(ISO, h, beta) < 0.0 for h in np.linspace(0.1, 20.0, 200))
 
 
 def test_stationarity_no_overflow_extremes():
-    # the rescaled evaluator stays finite even where the raw expression
-    # exceeds the float range, and the public value never degrades to NaN
+    # the scaled evaluator stays finite even where the raw exponentials exceed
+    # the float range, and its sign is that of the finite-difference oracle
     for beta in (1e-3, 1.0, 1e3):
         for h in (0.0, 1e-6, 1.0, 50.0):
             for c in (FIG3, FERRO_DEGEN):
-                scaled, _ = _stationarity_scaled(c, h, beta)
-                assert math.isfinite(scaled)
-                exact = dn_dh_over_h(c, h, beta)
-                assert not math.isnan(exact)
-                if exact != 0.0 and scaled != 0.0:
-                    assert math.copysign(1.0, exact) == math.copysign(1.0, scaled)
+                value = _stationarity_scaled(c, h, beta)
+                assert math.isfinite(value)
+                ref = stationarity_from_finite_differences(c, h, beta)
+                if ref != 0.0:
+                    assert math.copysign(1.0, ref) == math.copysign(1.0, value)
 
 
 def test_optimal_field_low_temperature_phase():
@@ -235,7 +214,7 @@ def test_solvers_are_scale_covariant(capsys):
 
 
 def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
-    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: (1.0, 0.0))
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: 1.0)
     with pytest.raises(NumericalFailure) as exc:
         optimal_field(FIG3, 0.25)
     message = str(exc.value)
@@ -355,6 +334,46 @@ def test_derivative_columns_print_zero_not_negative_zero(capsys):
         assert values["phase"] == "low_t"
         assert values["dn_op_dt"] == "0"
         assert values["d2n_op_dt2"] == "0"
+
+
+# The grid's couplings: isotropic AFM, an FM, Fig. 3, the Ising corner and XX.
+EXTREME_COUPLINGS = [
+    ISO,
+    CanonicalCoupling(-0.5, -0.3, -0.2),
+    FIG3,
+    CanonicalCoupling(1.0, 0.0, 0.0),
+    CanonicalCoupling(0.5, 0.5, 0.0),
+]
+
+
+def test_enhancement_curve_finite_down_to_t_1e_300():
+    # every fourth decade of T/s from 1 to 1e-300; the scaled closed form
+    # keeps every exponent non-positive, so nothing overflows
+    temps = [10.0**-k for k in range(0, 301, 4)]
+    for c in EXTREME_COUPLINGS:
+        for row in enhancement_curve(c, temps):
+            values = dataclasses.astuple(row)[:-1]
+            assert all(math.isfinite(v) for v in values), row
+
+
+def test_optimize_isotropic_at_t_1e_80(capsys):
+    argv = ["optimize", "--diag=0.333333333333,0.333333333333,0.333333333333",
+            "--t-min", "1e-80", "--t-max", "1e-80", "--t-points", "1"]
+    assert cli.main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()[1:3]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["phase"] == "low_t"
+    assert values["n_op"] == "1"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [FIG3, ISO], ids=["fig3", "iso"])
+def test_derivative_columns_finite_at_huge_fields(c):
+    # h_op ~ T log T exceeds 1e154 here, so 4 h^2 would overflow if formed
+    for row in enhancement_curve(c, np.geomspace(1e148, 1e160, 13)):
+        assert row.phase == "high_t"
+        assert math.isfinite(row.dn_op_dt) and math.isfinite(row.d2n_op_dt2)
+        assert row.dn_op_dt <= 0.0
 
 
 def test_d2n_op_dt2_jump_matches_one_sided_differences():

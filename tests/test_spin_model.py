@@ -148,6 +148,11 @@ def test_from_diagonal_validation():
         CanonicalCoupling(1e-13, 1e-13, -5e-13)
 
 
+def test_fields_are_python_floats():
+    c = CanonicalCoupling(*np.array([0.5, 0.25, 0.125]))
+    assert all(type(v) is float for v in (c.jx, c.jy, c.jz))
+
+
 def test_interaction_eigensystem_isotropic():
     # antiferromagnet: the singlet alone at -1; ferromagnet: the triplet at -1/3
     afm = np.diag([1 / 3, 1 / 3, 1 / 3])
