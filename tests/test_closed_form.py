@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_canonical
+from conftest import random_canonical, regime_couplings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,27 +151,14 @@ def test_positive_negativity_reachable_at_any_temperature():
 
 @st.composite
 def regime_points(draw):
-    """(coupling, h, beta) with beta s in [1e-4, 1e4] and the scale s over six decades.
-
-    A third of the couplings have jx ~ jy (relative gap below 1e-9), a third
-    have |jz| at most 1e-9 of the scale, down to 0 (det J = 0).
-    """
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    big, mid, small = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))[::-1]
-    kind = draw(st.sampled_from(["generic", "jx_jy", "det_zero"]))
-    if kind == "jx_jy":
-        mid = big * (1.0 - draw(st.floats(0.0, 1e-9)))
-        small = min(small, mid)
-    elif kind == "det_zero":
-        small = draw(st.sampled_from([0.0, 1e-9 * draw(st.floats(0.0, 1.0))]))
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    c = CanonicalCoupling(sign * big * scale, sign * mid * scale, sign * small * scale)
-    h = scale * draw(st.floats(0.0, 10.0))
-    beta = 10.0 ** draw(st.floats(-4.0, 4.0)) / scale
+    """(coupling, h, beta) at the regime edges, with beta s in [1e-4, 1e4] for the scale s."""
+    c = draw(regime_couplings())
+    h = c.norm * draw(st.floats(0.0, 10.0))
+    beta = 10.0 ** draw(st.floats(-4.0, 4.0)) / c.norm
     return c, h, beta
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(regime_points())
 def test_closed_form_matches_brute_force_at_regime_edges(point):
     c, h, beta = point

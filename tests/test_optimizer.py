@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_canonical
+from conftest import random_canonical, regime_couplings
+from hypothesis import given, settings
+from scipy.optimize import brentq
 
 from entopt.asymptotics import high_t_hop_exact, low_t_asymptote
 from entopt.closed_form import negativity_tilde
@@ -132,9 +134,10 @@ def test_optimal_field_is_a_maximum():
 
 
 def test_optimal_field_zero_coupling():
-    res = optimal_field(CanonicalCoupling(0.0, 0.0, 0.0), 1.0)
-    assert res.h_op == 0.0
-    assert res.n_op == 0.0
+    for beta in (1e-300, 1.0, 1e300):
+        res = optimal_field(CanonicalCoupling(0.0, 0.0, 0.0), beta)
+        assert res.h_op == 0.0
+        assert res.n_op == 0.0
 
 
 def test_boundary_temperatures_reference_values():
@@ -161,6 +164,63 @@ def test_boundary_below_the_first_window():
         assert lo <= t_c <= hi
         assert optimal_field(c, 1.0 / (0.5 * t_c)).phase == "low_t"
         assert optimal_field(c, 1.0 / (2.0 * t_c)).phase == "high_t"
+
+
+def first_crossing_boundary(c):
+    """T_c by a scan: the first sign change of the h -> 0 stationarity on 40
+    points per decade of beta s from 1e-3 to 1e16, refined by Brent's method."""
+    s = optimizer._unit(c)
+    grid = np.concatenate((np.geomspace(1e-3, 1e3, 241), np.geomspace(1e3, 1e16, 521)[1:]))
+
+    def g(b):
+        return _stationarity_scaled(c, 0.0, b / s)
+
+    prev, g_prev = grid[0], g(grid[0])
+    assert g_prev > 0.0
+    for b in grid[1:]:
+        g_b = g(b)
+        if g_prev > 0.0 >= g_b:
+            return s / brentq(g, prev, b, xtol=1e-14, rtol=1e-12, maxiter=200)
+        prev, g_prev = b, g_b
+    raise AssertionError(f"no sign change for {c}")
+
+
+@settings(max_examples=150)
+@given(regime_couplings())
+def test_boundary_stationarity_changes_sign_once(c):
+    # the h -> 0 stationarity changes sign at most once over the solver's
+    # window, so the one root boundary_temperature brackets is T_c
+    betas = np.geomspace(1e-3, 1e16, 2001) / c.norm
+    positive = np.array([_stationarity_scaled(c, 0.0, b) > 0.0 for b in betas])
+    changes = np.flatnonzero(positive[:-1] != positive[1:])
+    t_c = boundary_temperature(c)
+    if t_c == 0.0:
+        assert changes.size == 0
+        return
+    assert positive[0] and changes.size == 1
+    # T_c lies in the sign-change cell, to the rounding of the exponent
+    # beta (j1 - 2 jz) - beta jt, about eps * s / T_c relative
+    k = changes[0]
+    slack = 1e-12 + np.finfo(float).eps * c.norm / t_c
+    assert (1.0 - slack) / betas[k + 1] <= t_c <= (1.0 + slack) / betas[k]
+    if t_c >= 1e-6 * c.norm:
+        assert t_c == pytest.approx(first_crossing_boundary(c), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "value, what, beta",
+    [(1.0, "no boundary sign change", "10000000000000000"),
+     (-1.0, "boundary scan starts past the sign change", "0.001")],
+)
+def test_boundary_failures_name_coupling_and_beta_window(monkeypatch, value, what, beta):
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, b: value)
+    with pytest.raises(NumericalFailure) as exc:
+        boundary_temperature(FIG3)
+    message = str(exc.value)
+    assert what in message
+    assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
+    assert f"beta = {beta}," in message
+    assert "bracket [0.001, 10000000000000000]" in message
 
 
 def test_boundary_scales_with_coupling():
@@ -233,6 +293,7 @@ def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
     assert "beta = 0.25" in message
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_phase_diagram_grid_and_symmetries():
     points = phase_diagram([1.0, 5.0], [1.0, 5.0], "afm")
     by_ratio = {(p.jx_over_abs_jz, p.jy_over_abs_jz): p.t_c for p in points}
@@ -246,6 +307,9 @@ def test_phase_diagram_grid_and_symmetries():
     assert all(by_ratio[key] >= ferro[key] for key in ferro)
     with pytest.raises(ValueError):
         phase_diagram([0.5], [1.0], "afm")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            phase_diagram([bad], [1.0], "afm")
     with pytest.raises(ValueError):
         phase_diagram([1.0], [1.0], "xyz")
 
@@ -464,3 +528,5 @@ def test_optimal_field_rejects_bad_beta():
         optimal_field(ISO, 0.0)
     with pytest.raises(ValueError):
         optimal_field(ISO, math.inf)
+    with pytest.raises(ValueError):
+        enhancement_curve(ISO, [0.0])
