@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from .spin_model import CanonicalCoupling
 
 _BRANCH_POINT = -1.0 / math.e
-# Diagonal entries closer than this times the coupling's norm count as equal.
-_DEGENERACY_RTOL = 1e-12
 
 
 class AsymptoteDomainError(ValueError):
@@ -19,18 +17,6 @@ class AsymptoteDomainError(ValueError):
 
 class NondegenerateCouplingError(ValueError):
     """No low-temperature asymptote exists; the optimizing field is exactly zero."""
-
-
-def _degenerate_axes(c: CanonicalCoupling) -> tuple[bool, bool]:
-    """Whether jz equals jx and whether it equals jy, in a degenerate ground level.
-
-    The ground level of a canonical coupling is degenerate exactly when
-    jz <= 0 and jz equals jx or jy; both are (False, False) otherwise.
-    """
-    tol = _DEGENERACY_RTOL * c.norm
-    if c.jz > tol:
-        return False, False
-    return abs(c.jz - c.jx) <= tol, abs(c.jz - c.jy) <= tol
 
 
 def lambert_w_minus1(x: float) -> float:
@@ -120,26 +106,21 @@ def high_t_leading(jx: float, jy: float, beta: float) -> HighTAsymptote:
 def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
     """Low-temperature optimum for degenerate ferromagnetic ground states.
 
-    Applies to 0 >= jz = jx > jy, 0 >= jz = jy > jx (doubly degenerate) and
-    0 >= jz = jx = jy (triply degenerate). Non-degenerate couplings have no
-    low-temperature asymptote: their optimizing field is exactly zero there.
+    Applies where CanonicalCoupling.gaps has jt - kp <= 0: 0 >= jz = jx > jy,
+    0 >= jz = jy > jx (doubly degenerate) and 0 >= jz = jx = jy (triply).
+    Elsewhere the optimizing field is exactly zero at low temperature.
     """
-    zx, zy = _degenerate_axes(c)
-    if not (zx or zy):
+    jt, gap, _ = c.gaps
+    if gap > 0.0:
         raise NondegenerateCouplingError(
             "no low-temperature asymptote for this coupling; h_op = 0 exactly"
         )
-    jt = abs(c.jx + c.jy)
-    if jt == 0.0 or 2.0 * beta * jt <= 1.0:
+    if 2.0 * beta * jt <= 1.0:
         raise AsymptoteDomainError(
             f"low-temperature asymptote needs 2 beta |Jx+Jy| > 1, got {2.0 * beta * jt}"
         )
-    if zx and zy:
-        log_term = math.log(4.0 * beta * jt)
-        tag = "triply"
-    else:
-        log_term = math.log(2.0 * beta * jt)
-        tag = "doubly"
+    tag = "triply" if c.jx == c.jy else "doubly"
+    log_term = math.log((4.0 if tag == "triply" else 2.0) * beta * jt)
     h_op = math.sqrt(jt / (2.0 * beta) * log_term)
     n_op = 1.0 - (1.0 + log_term) / (beta * jt)
     return LowTAsymptote(h_op=h_op, n_op=n_op, degeneracy=tag)

@@ -8,11 +8,11 @@ J = sqrt(4 h^2 + jt^2) and on the temperature only through beta:
                            S = jt sinh(beta J)/J,  C = cosh(beta J),
 
 with jt = |jx + jy| and j1 = |jx - jy|. `_scaled_form` evaluates every
-exponential of this form at one common scale exp(-m), m = max(beta J,
-beta (j1 - 2 jz)), so no exponent is positive and nothing overflows; every
-quotient below is invariant under that factor. The partial-transpose
-spectrum, N~, its field stationarity J dN~/dJ and its beta and J derivatives
-are short formulas on top of it.
+exponential at one common scale exp(-m), m = max(beta J, beta (j1 - 2 jz)),
+from the coupling's exact level gaps, so no exponent is positive and nothing
+overflows; every quotient below is invariant under that factor. The
+partial-transpose spectrum, N~, its field stationarity J dN~/dJ and its beta
+and J derivatives are short formulas on top of it.
 """
 
 from __future__ import annotations
@@ -50,23 +50,22 @@ class ClosedFormParams:
 def _scaled_form(c: CanonicalCoupling, h: float, beta: float):
     """The closed form's terms at one (beta, J), each exponential times exp(-m).
 
-    Returns (r, J, x, m, ap, am, ch, sh, xc, hx) with x = beta J and
-    r = jt/J (0 at jt = 0); A e^-m = ap + am, the halves
-    exp(beta kp - m)/2 and exp(-beta km - m)/2 with kp, km = j1 -+ 2 jz;
-    C e^-m = ch; sinh(x) e^-m = sh; (x cosh x - sinh x) e^-m = xc; and
-    (sinh(2x)/2 - x) e^-2m = hx. xc and hx come from their series below
-    x = 0.2, where the differences cancel. m = max(x, beta kp) keeps every
-    exponent non-positive; on a canonical coupling jt >= |kp|, so m = x up to
-    the canonical slack.
+    Returns (r, J, x, m, ap, am, ch, sh, xc, hx): x = beta J, r = jt/J (0 at jt = 0),
+    A e^-m = ap + am = (exp(beta kp - m) + exp(-beta km - m))/2; C, sinh x and
+    x cosh x - sinh x times e^-m are ch, sh and xc; (sinh(2x)/2 - x) e^-2m = hx,
+    both by series below x = 0.2, where the differences cancel. No exponent is a
+    difference of rounded ones: beta (kp - J) = -beta (jt - kp) - beta (J - jt),
+    J - jt = 4 h^2/(J + jt), likewise for km; m = beta J + max(beta (kp - J), 0).
     """
-    jt = abs(c.jx + c.jy)
-    j1 = abs(c.jx - c.jy)
-    kp = j1 - 2.0 * c.jz
+    jt, dp, dm = c.gaps
     j = math.hypot(2.0 * h, jt)
+    dj = beta * (2.0 * h * (2.0 * h / (j + jt))) if h else 0.0  # beta (J - jt)
     x = beta * j
-    m = max(x, beta * kp)
-    ap = 0.5 * math.exp(beta * kp - m)
-    am = 0.5 * math.exp(-beta * (j1 + 2.0 * c.jz) - m)
+    delta = -beta * dp - dj  # beta (kp - J)
+    k = delta if delta > 0.0 else 0.0
+    m = x + k
+    ap = 0.5 * math.exp(delta - k)
+    am = 0.5 * math.exp(-beta * dm - dj - k)
     if x < 0.2:
         e = math.exp(-m)
         ch, sh = math.cosh(x) * e, math.sinh(x) * e
@@ -75,7 +74,7 @@ def _scaled_form(c: CanonicalCoupling, h: float, beta: float):
         hx = x * x2 * (2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (4.0 / 315.0 + x2 * 2.0 / 2835.0)))
         hx *= e * e
     else:
-        ep, em = math.exp(x - m), math.exp(-x - m)
+        ep, em = math.exp(-k), math.exp(-x - m)
         ch, sh = 0.5 * (ep + em), 0.5 * (ep - em)
         xc = x * ch - sh
         hx = sh * ch - x * (ep * em)
@@ -124,17 +123,19 @@ def negativity_tilde(c: CanonicalCoupling, h: float, beta: float) -> float:
 
 
 def _stationarity_scaled(c: CanonicalCoupling, h: float, beta: float) -> float:
-    """J dN~/dJ at J = sqrt(4 h^2 + jt^2), which is (J^2/4)(1/h) dN~/dh.
+    """J dN~/dJ = (J^2/4)(1/h) dN~/dh, J = sqrt(4 h^2 + jt^2), in units of min(1, beta jt).
 
     Equals (A + C)^-2 [jt/J (A xc - hx) + A x sinh x] with x = beta J,
     xc = x cosh x - sinh x and hx = sinh(2x)/2 - x. Its sign and roots in
     h > 0 are those of the field derivative of N~, the trivial h = 0 root
-    removed, and it is finite at h = 0, where J = jt.
+    removed, and it is finite at h = 0, where J = jt. The unit keeps the
+    h = 0 value, (beta jt)^2/4 at high T, in range; it is 1 at jt = 0.
     """
     r, _, x, _, ap, am, ch, sh, xc, hx = _scaled_form(c, h, beta)
+    unit = min(beta * c.gaps[0], 1.0) or 1.0  # beta jt
     a = ap + am
     g = a + ch
-    return (r * (a * xc - hx) + a * (x * sh)) / (g * g)
+    return (r * (a * xc - hx) / unit + a * ((x / unit) * sh)) / (g * g)
 
 
 def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
@@ -148,19 +149,17 @@ def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
     4 h^2 = J^2 - jt^2 enters as the product (J - jt)(J + jt) and is never
     formed, so huge fields stay in range. Needs J > 0.
     """
-    jt = abs(c.jx + c.jy)
-    j1 = abs(c.jx - c.jy)
-    kp, km = j1 - 2.0 * c.jz, j1 + 2.0 * c.jz  # jt -+ kp, jt -+ km >= 0
+    jt, dp, dm = c.gaps  # jt - kp and jt + km
     r, j, x, m, ap, am, ch, sh, xc, _ = _scaled_form(c, h, beta)
     dj = 2.0 * h * (2.0 * h / (j + jt))  # J - jt without the cancellation
     cs = ch + r * sh  # C + S
     a = ap + am
     g = a + ch  # A + C
-    g_b = kp * ap - km * am + j * sh
+    g_b = (jt - dp) * ap - (dm - jt) * am + j * sh
     n = (r * sh - a) / g
     q = dj * (1.0 + r) * sh  # S_b + C_b - k (C + S) = (jt - k)(C + S) + q
-    num = jt * math.exp(-2.0 * m) + ap * ((jt - kp) * cs + q) + am * ((jt + km) * cs + q)
-    num_b = cs * (a * dj * (j + jt) + ap * (jt - kp) * (jt + kp) + am * (jt + km) * (jt - km))
+    num = jt * math.exp(-2.0 * m) + ap * (dp * cs + q) + am * (dm * cs + q)
+    num_b = cs * (a * dj * (j + jt) + ap * dp * (2.0 * jt - dp) + am * dm * (2.0 * jt - dm))
     n_b = num / (g * g)
     n_bb = (num_b * g - 2.0 * num * g_b) / (g * g * g)
     # J-derivatives times powers of J, free of beta^2 and J^3 factors that

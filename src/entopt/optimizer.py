@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .asymptotics import _degenerate_axes
 from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
 from .measures import _negativity, _pt_spectrum
 from .spin_model import (
@@ -114,28 +113,33 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, info.iterations)
 
 
-# boundary_temperature's fixed beta window, in units of 1/s (see _unit).
+# boundary_temperature's beta window, in units of 1/s (see _unit); its top
+# end grows on small level gaps, up to beta s = 1e308.
 _BETA_WINDOW = (1e-3, 1e16)
 
 
 def boundary_temperature(c: CanonicalCoupling) -> float:
     """Temperature T_c below which the optimizing field vanishes; 0 when it never does.
 
-    It never does exactly when the ground level is degenerate. Otherwise the
-    h -> 0 limit of the stationarity function changes sign once in beta, from
-    positive at high temperature to non-positive at low temperature, and T_c
-    is that root: one Brent solve in y = ln(beta s) over beta s in
-    [1e-3, 1e16], both ends checked first.
+    It never does exactly when the ground level is degenerate, by the exact
+    test CanonicalCoupling.gaps[1] <= 0. Otherwise the h -> 0 limit of the
+    stationarity function changes sign once in beta, from positive at high
+    temperature to non-positive at low temperature, and T_c is that root: one
+    Brent solve in y = ln(beta s) on the coupling / s, both ends checked first,
+    over beta s in [1e-3, max(1e16, 1e3 s / (jt - kp))]: at the root beta
+    (jt - kp) ~ ln(2 beta jt) < 1e3, so gaps down to about 1e-305 s are found.
     """
-    if any(_degenerate_axes(c)):
+    if c.gaps[1] <= 0.0:
         return 0.0
     s = _unit(c)
+    unit_c = CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s)  # exact; beta s cannot overflow
 
     def g(y):
-        return _stationarity_scaled(c, 0.0, math.exp(y) / s)
+        return _stationarity_scaled(unit_c, 0.0, math.exp(y))
 
-    window = (_BETA_WINDOW[0] / s, _BETA_WINDOW[1] / s)
-    lo, hi = math.log(_BETA_WINDOW[0]), math.log(_BETA_WINDOW[1])
+    top = min(max(_BETA_WINDOW[1], 1e3 * s / c.gaps[1]), 1e308)
+    window = (_BETA_WINDOW[0] / s, top / s)
+    lo, hi = math.log(_BETA_WINDOW[0]), math.log(top)
     if g(lo) <= 0.0:
         raise _failure("boundary scan starts past the sign change", c, window[0], window)
     if g(hi) > 0.0:

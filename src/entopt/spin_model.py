@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,15 @@ class CanonicalCoupling:
         """|jx| + |jy| + |jz|, the spectral norm of the interaction Hamiltonian."""
         return abs(self.jx) + abs(self.jy) + abs(self.jz)
 
+    @cached_property
+    def gaps(self) -> tuple[float, float, float]:
+        """jt = |jx + jy| and the level gaps jt - kp = 2 (sgn(jx jy) min(|jx|, |jy|) + jz) and
+        jt + km = 2 (max(|jx|, |jy|) + jz), kp, km = |jx - jy| -+ 2 jz: one rounded sum each,
+        so exact at 0. jt - kp <= 0 is the one degeneracy test (jz <= 0, jz = jx or jy)."""
+        jx, jy, jz = self.jx, self.jy, self.jz
+        lo, hi = (jx, jy) if abs(jx) <= abs(jy) else (jy, jx)
+        return abs(jx + jy), 2.0 * (math.copysign(lo, lo * hi) + jz), 2.0 * (abs(hi) + jz)
+
     @property
     def sign_class(self) -> str:
         """'afm' for the all-non-negative class, 'fm' for the all-non-positive one."""
@@ -109,6 +119,12 @@ def canonicalize(j) -> CanonicalCoupling:
     # r1 @ J @ r2.T = diag(d) with r1 = U^T, r2 = Vh and d sorted descending
     u, d, r2 = np.linalg.svd(j)
     r1 = u.T.copy()
+    # Values within the SVD's rounding (64 eps) of 0 or of each other become equal,
+    # so that a rotated degenerate level keeps its exact zero gap (CanonicalCoupling.gaps).
+    x, tol = d.tolist(), 2.0**-46 * d[0]
+    for i in (1, 2):
+        x[i] = x[i - 1] if x[i - 1] - x[i] <= tol else x[i] if x[i] > tol else 0.0
+    d = np.array(x)
     # Inversions cannot be realized by spin rotations; trade them for a sign
     # on the smallest singular value.
     if np.linalg.det(r1) < 0:

@@ -1,4 +1,3 @@
-import math
 import os
 
 # Pin the BLAS and OpenMP pools before numpy loads: on 4x4 problems a second
@@ -59,10 +58,8 @@ def regime_couplings(draw):
 
     A quarter each: generic; jx ~ jy (relative gap below 1e-9); |jz| at most
     1e-9 of the scale, down to 0 (det J = 0); and ferromagnets with jz within
-    2e-12 to 1e-3 of jy, relative to the scale, whose ground level is nearly
-    degenerate, so that T_c falls far below the scale. That gap starts at
-    twice the 1e-12 tolerance within which asymptotics._degenerate_axes takes
-    jz = jy and boundary_temperature returns 0.
+    1e-15 to 1e-3 of jy, relative to the scale, whose ground level is nearly
+    degenerate, so that T_c falls far below the scale.
     """
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     big, mid, small = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))[::-1]
@@ -73,6 +70,6 @@ def regime_couplings(draw):
     elif kind == "det_zero":
         small = draw(st.sampled_from([0.0, 1e-9 * draw(st.floats(0.0, 1.0))]))
     elif kind == "near_degenerate":
-        small = mid - 10.0 ** draw(st.floats(math.log10(2e-12), -3.0)) * (big + 2.0 * mid)
+        small = mid - 10.0 ** draw(st.floats(-15.0, -3.0)) * (big + 2.0 * mid)
     sign = -1.0 if kind == "near_degenerate" else draw(st.sampled_from([1.0, -1.0]))
     return CanonicalCoupling(sign * big * scale, sign * mid * scale, sign * small * scale)

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import random_canonical, regime_couplings
 from hypothesis import given, settings
 from scipy.optimize import brentq
 
-from entopt.asymptotics import high_t_hop_exact, low_t_asymptote
+from entopt.asymptotics import NondegenerateCouplingError, high_t_hop_exact, low_t_asymptote
 from entopt.closed_form import negativity_tilde
 import entopt.cli as cli
 import entopt.optimizer as optimizer
@@ -24,7 +25,7 @@ from entopt.optimizer import (
     verify_hypothesis1,
 )
 from entopt.measures import negativity
-from entopt.spin_model import CanonicalCoupling, build_hamiltonian
+from entopt.spin_model import CanonicalCoupling, build_hamiltonian, canonicalize
 from entopt.thermal import gibbs_state
 
 ISO = CanonicalCoupling(1 / 3, 1 / 3, 1 / 3)
@@ -33,7 +34,8 @@ FERRO_DEGEN = CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)
 
 
 def stationarity_from_finite_differences(c, h, beta):
-    """(1/h) dN~/dh rescaled to J dN~/dJ = (J^2/4)(1/h) dN~/dh, J = sqrt(4 h^2 + jt^2)."""
+    """(1/h) dN~/dh rescaled to J dN~/dJ = (J^2/4)(1/h) dN~/dh, J = sqrt(4 h^2 + jt^2),
+    in units of min(1, beta jt)."""
     if h == 0.0:
         # N~(h) is even in h; Richardson-extrapolate 2(N~(d) - N~(0))/d^2
         delta = 2e-3
@@ -48,7 +50,7 @@ def stationarity_from_finite_differences(c, h, beta):
             negativity_tilde(c, h + delta, beta) - negativity_tilde(c, h - delta, beta)
         ) / (2.0 * delta * h)
     j2 = math.hypot(2.0 * h, c.jx + c.jy)
-    return slope * j2**2 / 4.0
+    return slope * j2**2 / 4.0 / min(1.0, beta * abs(c.jx + c.jy))
 
 
 def test_stationarity_matches_derivative_oracle():
@@ -140,6 +142,28 @@ def test_optimal_field_zero_coupling():
         assert res.n_op == 0.0
 
 
+def test_optimal_field_high_t_beyond_t_1e162():
+    # J dN~/dJ at h = 0 is about (beta jt)^2/4 here, below the float range;
+    # its sign still decides the phase
+    for t in (1e163, 1e200, 1e300):
+        res = optimal_field(FIG3, 1.0 / t)
+        asym = high_t_hop_exact(FIG3.jx, FIG3.jy, 1.0 / t)
+        assert res.phase == "high_t"
+        assert res.n_op == pytest.approx(asym.n_op, rel=1e-6, abs=0.0)
+        assert res.h_op == pytest.approx(asym.h_op, rel=1e-6, abs=0.0)
+
+
+def test_degenerate_h_op_matches_low_t_asymptote():
+    # on a degenerate ground level the field stays finite as T -> 0, and
+    # h_op ~ sqrt(T ln(1/T)) is resolved far below the coupling scale
+    triply = CanonicalCoupling(-1 / 3, -1 / 3, -1 / 3)
+    for c in (FERRO_DEGEN, CanonicalCoupling(1.0, 0.0, 0.0), triply):
+        for t in (1e-12, 1e-15):
+            res = optimal_field(c, 1.0 / t)
+            assert res.phase == "high_t"
+            assert res.h_op / low_t_asymptote(c, 1.0 / t).h_op == pytest.approx(1.0, abs=1e-6)
+
+
 def test_boundary_temperatures_reference_values():
     assert boundary_temperature(ISO) == pytest.approx(0.8168, abs=1e-3)
     assert boundary_temperature(FIG3) == pytest.approx(0.6803, abs=1e-3)
@@ -158,12 +182,107 @@ def test_boundary_below_the_first_window():
         (CanonicalCoupling(-0.5, -0.25, -0.249), 2.24e-4, 2.37e-4),
         (CanonicalCoupling(1.0, 1e-6, 0.0), 1.19e-7, 1.26e-7),
         (CanonicalCoupling(-0.5, -0.25, -0.25 + 1e-12), 6.0e-14, 7.0e-14),
+        (CanonicalCoupling(-0.75, -0.5, -0.5 + 1e-16), 5.4e-18, 5.5e-18),
+        # the window's top follows the gap jt - kp = 2e-300: T_c ~ gap/ln(2 beta jt)
+        (CanonicalCoupling(1.0, 1e-300, 0.0), 2e-300 / 700.0, 2e-300 / 690.0),
     ]
     for c, lo, hi in cases:
         t_c = boundary_temperature(c)
         assert lo <= t_c <= hi
         assert optimal_field(c, 1.0 / (0.5 * t_c)).phase == "low_t"
         assert optimal_field(c, 1.0 / (2.0 * t_c)).phase == "high_t"
+    (point,) = phase_diagram([1e300], [1.0], "afm")  # (1, 1e-300, 1e-300), gap 4e-300
+    assert 4e-300 / 700.0 <= point.t_c <= 4e-300 / 690.0
+
+
+def mpmath_boundary(c):
+    """T_c at 60 digits: bisection in ln beta of the sign of the h = 0 numerator
+    A (x cosh x - sinh x + x sinh x) - (sinh(2x)/2 - x), x = beta jt, of J dN~/dJ."""
+    with mpmath.workdps(60):
+        jx, jy, jz = (mpmath.mpf(v) for v in (c.jx, c.jy, c.jz))
+        jt, j1 = abs(jx + jy), abs(jx - jy)
+
+        def positive(y):
+            beta = mpmath.exp(y)
+            x = beta * jt
+            a = mpmath.exp(-2 * beta * jz) * mpmath.cosh(beta * j1)
+            xc = x * mpmath.cosh(x) - mpmath.sinh(x)
+            return a * (xc + x * mpmath.sinh(x)) - (mpmath.sinh(2 * x) / 2 - x) > 0
+
+        lo, hi = mpmath.mpf(0), 300 * mpmath.log(10)
+        assert positive(lo) and not positive(hi)
+        while hi - lo > mpmath.mpf(10) ** -30:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+        return float(mpmath.exp(-lo))
+
+
+def test_boundary_matches_mpmath_near_degeneracy():
+    # (-0.75, -0.5, -0.5 + gap): T_c falls with the gap, far below the scale
+    refs = {1e-9: 8.2884861453488241e-11, 1e-12: 6.3900979424554857e-14,
+            1e-14: 5.5442002995698326e-16}
+    for gap, ref in refs.items():
+        c = CanonicalCoupling(-0.75, -0.5, -0.5 + gap)
+        t_c = mpmath_boundary(c)
+        assert t_c == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert boundary_temperature(c) == pytest.approx(t_c, rel=1e-12, abs=0.0)
+
+
+def degenerate_ground_level(c):
+    """The exact test on a canonical coupling: jz <= 0 and jz equals jx or jy."""
+    return c.jz <= 0.0 and (c.jz == c.jx or c.jz == c.jy)
+
+
+def test_one_degeneracy_rule():
+    # the exact test, a zero gap jt - kp (CanonicalCoupling.gaps), T_c == 0 and
+    # the existence of a low-temperature asymptote agree on every coupling here
+    rng = np.random.default_rng(89)
+    couplings = (
+        [ISO, FIG3, FERRO_DEGEN, CanonicalCoupling(-1 / 3, -1 / 3, -1 / 3),
+         CanonicalCoupling(0.0, 0.0, 0.0), CanonicalCoupling(1.0, 1e-6, 0.0),
+         CanonicalCoupling(-0.5, -0.25, -0.249), CanonicalCoupling(-0.5, -0.25, -0.25 + 1e-12),
+         CanonicalCoupling(-0.75, -0.5, -0.49999999999825), CanonicalCoupling(-0.5, -0.5, -0.25),
+         CanonicalCoupling(-0.75, -0.5, -0.5 + 1e-16), CanonicalCoupling(-0.8, -0.9, -0.3),
+         CanonicalCoupling(-0.9, -0.7, -0.2), CanonicalCoupling(0.0, -0.5, 0.0)]
+        + EXTREME_COUPLINGS + SWEEP_CLASSES + [random_canonical(rng) for _ in range(20)]
+    )
+    for c in couplings:
+        degenerate = degenerate_ground_level(c)
+        assert (c.gaps[1] == 0.0) == degenerate, c.diagonal
+        assert (boundary_temperature(c) == 0.0) == degenerate, c.diagonal
+        if not degenerate:
+            with pytest.raises(NondegenerateCouplingError):
+                low_t_asymptote(c, 1e6)
+        elif c.norm > 0.0:
+            assert low_t_asymptote(c, 1e6).degeneracy in ("doubly", "triply")
+    # within the canonical slack jz may pass jy, so that jt - kp < 0; the
+    # field then never vanishes either
+    slack = CanonicalCoupling(-0.5, -0.25, -0.25 - 1e-13)
+    assert slack.gaps[1] < 0.0 and boundary_temperature(slack) == 0.0
+    assert optimal_field(slack, 1e6).phase == "high_t"
+
+
+def test_rotated_degenerate_couplings_keep_zero_gap():
+    # canonicalize's SVD returns equal singular values an ulp or so apart;
+    # a rotated degenerate level must still have T_c = 0 and its asymptote
+    rng = np.random.default_rng(97)
+
+    def rotation():
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        return q * np.linalg.det(q)
+
+    diagonals = [(-0.5, -0.25, -0.25), (-1 / 3, -1 / 3, -1 / 3), (1.0, 0.0, 0.0), (-0.75, -0.5, -0.5)]
+    matrices = [np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, -2.0]])]
+    for d in diagonals:
+        for _ in range(25):
+            r = rotation()
+            matrices += [r @ np.diag(d) @ r.T, r @ np.diag(d) @ rotation().T]
+    for j in matrices:
+        c = canonicalize(j)
+        assert c.gaps[1] == 0.0, c.diagonal
+        assert boundary_temperature(c) == 0.0
+        assert low_t_asymptote(c, 1e6).degeneracy in ("doubly", "triply")
 
 
 def first_crossing_boundary(c):
@@ -190,19 +309,22 @@ def first_crossing_boundary(c):
 def test_boundary_stationarity_changes_sign_once(c):
     # the h -> 0 stationarity changes sign at most once over the solver's
     # window, so the one root boundary_temperature brackets is T_c
-    betas = np.geomspace(1e-3, 1e16, 2001) / c.norm
+    # the old 105 points per decade down to T = 1e-20 of the norm, below
+    # every T_c of the draws, and 5 per decade on to 1e-300 of it
+    dense = np.geomspace(1e-3, 1e20, 2422)
+    betas = np.concatenate((dense, np.geomspace(1e20, 1e300, 1401)[1:])) / c.norm
     positive = np.array([_stationarity_scaled(c, 0.0, b) > 0.0 for b in betas])
     changes = np.flatnonzero(positive[:-1] != positive[1:])
     t_c = boundary_temperature(c)
+    assert (t_c == 0.0) == degenerate_ground_level(c)
     if t_c == 0.0:
         assert changes.size == 0
         return
     assert positive[0] and changes.size == 1
-    # T_c lies in the sign-change cell, to the rounding of the exponent
-    # beta (j1 - 2 jz) - beta jt, about eps * s / T_c relative
+    # T_c lies in the sign-change cell, to the solver's tolerance
     k = changes[0]
-    slack = 1e-12 + np.finfo(float).eps * c.norm / t_c
-    assert (1.0 - slack) / betas[k + 1] <= t_c <= (1.0 + slack) / betas[k]
+    assert k < dense.size - 1
+    assert (1.0 - 1e-12) / betas[k + 1] <= t_c <= (1.0 + 1e-12) / betas[k]
     if t_c >= 1e-6 * c.norm:
         assert t_c == pytest.approx(first_crossing_boundary(c), rel=1e-10, abs=0.0)
 
