@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zheevd
 
 # Shared tolerances; solvers and tests must agree on these.
 HERMITICITY_RTOL = 1e-12
 # Partial-transpose eigenvalues above this floor count as non-negative.
 PSD_EIGENVALUE_FLOOR = -1e-12
+
+
+# scipy.linalg.lapack.zheevd, loaded by the first _eigh call, so that
+# importing the package loads no scipy.
+_zheevd = None
 
 
 class NonHermitianError(ValueError):
@@ -44,7 +48,10 @@ def _eigh(m, vectors: bool = True):
     Calls LAPACK zheevd on the lower triangle, as numpy.linalg.eigh does, but
     without numpy's per-call wrapper, which costs as much as a 4x4 solve.
     """
-    values, v, info = zheevd(m, compute_v=vectors, lower=1)
+    global _zheevd
+    if _zheevd is None:
+        from scipy.linalg.lapack import zheevd as _zheevd
+    values, v, info = _zheevd(m, compute_v=vectors, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed with info = {info}")
     return values, v

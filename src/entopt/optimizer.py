@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
 from .measures import _negativity, _pt_spectrum
@@ -57,6 +56,71 @@ class Hypothesis1Report:
     passed: bool
 
 
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):
+    """A root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A line-for-line port of scipy.optimize.brentq (scipy's brentq.c), so roots
+    and iteration counts agree with scipy's bit for bit, without importing
+    scipy. Returns (root, iterations); root is None when maxiter iterations
+    do not converge. A NaN value of f raises ValueError, as in scipy.
+    """
+
+    def fx(x):
+        value = float(f(x))
+        if math.isnan(value):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return value
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # C's x/0 is inf or nan, which fails the step test: bisect
+            if den != 0.0 and 2 * abs(num / den) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, num / den  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    return None, maxiter
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on first use: importing the package loads no scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
+
+
 def _unit(c: CanonicalCoupling) -> float:
     """The power of two nearest |jx| + |jy| + |jz|, the spectral norm of a canonical coupling.
 
@@ -67,11 +131,9 @@ def _unit(c: CanonicalCoupling) -> float:
     return 2.0 ** round(math.log2(c.norm))
 
 
-def _failure(what: str, c: CanonicalCoupling, beta: float, bracket) -> NumericalFailure:
-    return NumericalFailure(
-        f"{what} for coupling ({c.jx:.17g}, {c.jy:.17g}, {c.jz:.17g}) at beta = {beta:.17g}, "
-        f"bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]"
-    )
+def _failure(what: str, c: CanonicalCoupling, where: str) -> NumericalFailure:
+    """The coupling is named to 17 digits, so that the failure reproduces."""
+    return NumericalFailure(f"{what} for coupling ({c.jx:.17g}, {c.jy:.17g}, {c.jz:.17g}) {where}")
 
 
 def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
@@ -94,13 +156,15 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     t = 1.0 / (beta * s)
     u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
     bracket = (0.0, s * u_max)
+
+    def failure(what):
+        return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {bracket[1]:.17g}]")
+
     if stationarity(u_max) >= 0.0:
-        raise _failure("no field bracket", c, beta, bracket)
-    u_op, info = brentq(
-        stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200, full_output=True
-    )
-    if not info.converged:
-        raise _failure("field root did not converge", c, beta, bracket)
+        raise failure("no field bracket")
+    u_op, iterations = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
+    if u_op is None:
+        raise failure("field root did not converge")
     h_op = s * u_op
     n_op = negativity_tilde(c, h_op, beta)
     delta = s * 1e-5 * max(1.0, u_op)
@@ -109,8 +173,8 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
         negativity_tilde(c, h_op + delta, beta) > n_op + slack
         or negativity_tilde(c, max(h_op - delta, 0.0), beta) > n_op + slack
     ):
-        raise _failure(f"stationary point at h = {h_op:.17g} is not a maximum", c, beta, bracket)
-    return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, info.iterations)
+        raise failure(f"stationary point at h = {h_op:.17g} is not a maximum")
+    return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, iterations)
 
 
 # boundary_temperature's beta window, in units of 1/s (see _unit); its top
@@ -137,14 +201,21 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     def g(y):
         return _stationarity_scaled(unit_c, 0.0, math.exp(y))
 
+    bottom = _BETA_WINDOW[0]
     top = min(max(_BETA_WINDOW[1], 1e3 * s / c.gaps[1]), 1e308)
-    window = (_BETA_WINDOW[0] / s, top / s)
-    lo, hi = math.log(_BETA_WINDOW[0]), math.log(top)
+    lo, hi = math.log(bottom), math.log(top)
+
+    def failure(what):  # the window in beta s: beta itself can overflow when s is small
+        return _failure(what, c, f"with s = {s:.17g}, on beta s in [{bottom:.17g}, {top:.17g}]")
+
     if g(lo) <= 0.0:
-        raise _failure("boundary scan starts past the sign change", c, window[0], window)
+        raise failure(f"boundary scan starts past the sign change at beta s = {bottom:.17g}")
     if g(hi) > 0.0:
-        raise _failure("no boundary sign change", c, window[1], window)
-    return s / math.exp(brentq(g, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
+        raise failure(f"no boundary sign change up to beta s = {top:.17g}")
+    y, _ = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
+    if y is None:
+        raise failure("boundary root did not converge")
+    return s / math.exp(y)
 
 
 @dataclass(frozen=True)

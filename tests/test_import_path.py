@@ -1,0 +1,43 @@
+import os
+import subprocess
+import sys
+
+import entopt
+
+# Run in a fresh interpreter: this test process has scipy loaded already.
+SCRIPT = """
+import sys
+import numpy as np
+import entopt
+from entopt import CanonicalCoupling, gibbs_state, build_hamiltonian
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+fig3 = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)
+entopt.optimal_field(fig3, 0.25)
+entopt.boundary_temperature(fig3)
+entopt.phase_diagram([1.0, 2.0], [1.0, 3.0], "afm")
+entopt.high_t_hop_exact(0.5, 1 / 3, 0.01)
+assert scipy_modules() == [], scipy_modules()
+
+gibbs_state(build_hamiltonian(fig3.diagonal), 1.0)
+assert "scipy.linalg" in sys.modules
+report = entopt.verify_hypothesis1(np.diag([0.5, 1 / 3, 1 / 6]), 1.0, restarts=2, seed=3)
+assert report.passed and report.restarts == 2, report
+print("ok")
+"""
+
+
+def test_solvers_load_no_scipy():
+    # scipy is loaded on first use, by the Gibbs state and the hypothesis search only
+    src = os.path.dirname(os.path.dirname(entopt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

@@ -341,8 +341,18 @@ def test_boundary_failures_name_coupling_and_beta_window(monkeypatch, value, wha
     message = str(exc.value)
     assert what in message
     assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
-    assert f"beta = {beta}," in message
-    assert "bracket [0.001, 10000000000000000]" in message
+    assert f"beta s = {beta} " in message
+    assert "with s = 1, on beta s in [0.001, 10000000000000000]" in message
+    # a gap below 1e-305 s has no sign change in the window; its top, 1e308 / s
+    # in beta, overflows, so the window is named in beta s
+    monkeypatch.undo()
+    with pytest.raises(NumericalFailure) as exc:
+        boundary_temperature(CanonicalCoupling(-1e-10, -1e-300, -1e-300 + 1e-316))
+    message = str(exc.value)
+    assert "no boundary sign change up to beta s = 1e+308 " in message
+    assert "(-1e-10, -1e-300, -9.9999999999999986e-301)" in message
+    assert "with s = 1.1641532182693481e-10, on beta s in [0.001, 1e+308]" in message
+    assert "inf" not in message
 
 
 def test_boundary_scales_with_coupling():
@@ -413,6 +423,20 @@ def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
     assert "is not a maximum" in message
     assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
     assert "beta = 0.25" in message
+
+
+def test_solvers_raise_when_brent_does_not_converge(monkeypatch):
+    monkeypatch.setattr(optimizer, "brentq", lambda f, a, b, xtol, rtol, maxiter: (None, maxiter))
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(FIG3, 0.25)
+    message = str(exc.value)
+    assert "field root did not converge" in message
+    assert "(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, bracket [0, " in message
+    with pytest.raises(NumericalFailure) as exc:
+        boundary_temperature(FIG3)
+    message = str(exc.value)
+    assert "boundary root did not converge" in message
+    assert "with s = 1, on beta s in [0.001, 10000000000000000]" in message
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
