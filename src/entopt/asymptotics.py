@@ -106,7 +106,7 @@ def high_t_leading(jx: float, jy: float, beta: float) -> HighTAsymptote:
 def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
     """Low-temperature optimum for degenerate ferromagnetic ground states.
 
-    Applies where CanonicalCoupling.gaps has jt - kp <= 0: 0 >= jz = jx > jy,
+    Applies where CanonicalCoupling.gaps has jt - kp == 0: 0 >= jz = jx > jy,
     0 >= jz = jy > jx (doubly degenerate) and 0 >= jz = jx = jy (triply).
     Elsewhere the optimizing field is exactly zero at low temperature.
     """

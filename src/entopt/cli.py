@@ -312,7 +312,9 @@ def _cmd_measure(args) -> None:
     if args.fields:
         fields = _parse_reals(args.fields, 6, "--fields")
     elif args.field_z is not None:
-        fields = np.array([0.0, 0.0, args.field_z, 0.0, 0.0, -args.field_z])
+        # 0.0 - h, not -h: a zero field is recorded as 0.0, so the config hash
+        # of --field-z 0 is that of no field
+        fields = np.array([0.0, 0.0, args.field_z, 0.0, 0.0, 0.0 - args.field_z])
     else:
         fields = np.zeros(6)
     rho, _ = gibbs_state(build_hamiltonian(j, fields[:3], fields[3:]), beta)

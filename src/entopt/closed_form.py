@@ -8,11 +8,11 @@ J = sqrt(4 h^2 + jt^2) and on the temperature only through beta:
                            S = jt sinh(beta J)/J,  C = cosh(beta J),
 
 with jt = |jx + jy| and j1 = |jx - jy|. `_scaled_form` evaluates every
-exponential at one common scale exp(-m), m = max(beta J, beta (j1 - 2 jz)),
-from the coupling's exact level gaps, so no exponent is positive and nothing
-overflows; every quotient below is invariant under that factor. The
-partial-transpose spectrum, N~, its field stationarity J dN~/dJ and its beta
-and J derivatives are short formulas on top of it.
+exponential at one common scale exp(-beta J), from the coupling's exact level
+gaps, so no exponent is positive and nothing overflows; every quotient below is
+invariant under that factor. The partial-transpose spectrum, N~, its field
+stationarity J dN~/dJ and its beta and J derivatives are short formulas on top
+of it.
 """
 
 from __future__ import annotations
@@ -48,37 +48,35 @@ class ClosedFormParams:
 
 
 def _scaled_form(c: CanonicalCoupling, h: float, beta: float):
-    """The closed form's terms at one (beta, J), each exponential times exp(-m).
+    """The closed form's terms at one (beta, J), each exponential times exp(-x), x = beta J.
 
-    Returns (r, J, x, m, ap, am, ch, sh, xc, hx): x = beta J, r = jt/J (0 at jt = 0),
-    A e^-m = ap + am = (exp(beta kp - m) + exp(-beta km - m))/2; C, sinh x and
-    x cosh x - sinh x times e^-m are ch, sh and xc; (sinh(2x)/2 - x) e^-2m = hx,
+    Returns (r, J, x, ap, am, ch, sh, xc, hx): r = jt/J (0 at jt = 0),
+    A e^-x = ap + am = (exp(beta kp - x) + exp(-beta km - x))/2; C, sinh x and
+    x cosh x - sinh x times e^-x are ch, sh and xc; (sinh(2x)/2 - x) e^-2x = hx,
     both by series below x = 0.2, where the differences cancel. No exponent is a
-    difference of rounded ones: beta (kp - J) = -beta (jt - kp) - beta (J - jt),
-    J - jt = 4 h^2/(J + jt), likewise for km; m = beta J + max(beta (kp - J), 0).
+    difference of rounded ones, and none is positive: beta (kp - J) =
+    -beta (jt - kp) - beta (J - jt) <= 0 with J - jt = 4 h^2/(J + jt), likewise
+    for km, on the coupling's exact gaps.
     """
     jt, dp, dm = c.gaps
     j = math.hypot(2.0 * h, jt)
     dj = beta * (2.0 * h * (2.0 * h / (j + jt))) if h else 0.0  # beta (J - jt)
     x = beta * j
-    delta = -beta * dp - dj  # beta (kp - J)
-    k = delta if delta > 0.0 else 0.0
-    m = x + k
-    ap = 0.5 * math.exp(delta - k)
-    am = 0.5 * math.exp(-beta * dm - dj - k)
+    ap = 0.5 * math.exp(-beta * dp - dj)
+    am = 0.5 * math.exp(-beta * dm - dj)
     if x < 0.2:
-        e = math.exp(-m)
+        e = math.exp(-x)
         ch, sh = math.cosh(x) * e, math.sinh(x) * e
         x2 = x * x
         xc = x * x2 * (1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (1.0 / 840.0 + x2 / 45360.0))) * e
         hx = x * x2 * (2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (4.0 / 315.0 + x2 * 2.0 / 2835.0)))
         hx *= e * e
     else:
-        ep, em = math.exp(-k), math.exp(-x - m)
-        ch, sh = 0.5 * (ep + em), 0.5 * (ep - em)
+        em = math.exp(-2.0 * x)
+        ch, sh = 0.5 * (1.0 + em), 0.5 * (1.0 - em)
         xc = x * ch - sh
-        hx = sh * ch - x * (ep * em)
-    return (jt / j if jt else 0.0), j, x, m, ap, am, ch, sh, xc, hx
+        hx = sh * ch - x * em
+    return (jt / j if jt else 0.0), j, x, ap, am, ch, sh, xc, hx
 
 
 def closed_form_params(c: CanonicalCoupling, h: float, beta: float) -> ClosedFormParams:
@@ -86,18 +84,18 @@ def closed_form_params(c: CanonicalCoupling, h: float, beta: float) -> ClosedFor
 
     They are a1 = A, a2 = -(jx + jy) sinh(beta J)/J, b1 = C,
     b2 = 2 h sinh(beta J)/J and b3 = -exp(-2 beta jz) sinh(beta j1), all
-    times exp(-beta jz - m), so log_scale = beta jz + m.
+    times exp(-beta jz - beta J), so log_scale = beta jz + beta J.
     """
     beta = _validate_beta(beta)
     h = float(h)
-    _, j, _, m, ap, am, ch, sh, _, _ = _scaled_form(c, h, beta)
-    # sinh(beta J)/J e^-m; J = 0 only at the zero coupling and h = 0, where
+    _, j, x, ap, am, ch, sh, _, _ = _scaled_form(c, h, beta)
+    # sinh(beta J)/J e^-x; J = 0 only at the zero coupling and h = 0, where
     # both of its prefactors vanish
     sj = sh / j if j else 0.0
     a1 = ap + am
     return ClosedFormParams(
         a1, -(c.jx + c.jy) * sj, ch, 2.0 * h * sj, am - ap, abs(c.jx - c.jy), j,
-        2.0 * (a1 + ch), beta * c.jz + m,
+        2.0 * (a1 + ch), beta * c.jz + x,
     )
 
 
@@ -117,7 +115,7 @@ def negativity_tilde(c: CanonicalCoupling, h: float, beta: float) -> float:
     May be negative; the physical negativity is max(N~, 0). Exposed un-clamped
     so root finders can locate sign changes and stationary points.
     """
-    r, _, _, _, ap, am, ch, sh, _, _ = _scaled_form(c, h, _validate_beta(beta))
+    r, _, _, ap, am, ch, sh, _, _ = _scaled_form(c, h, _validate_beta(beta))
     a = ap + am
     return (r * sh - a) / (a + ch)
 
@@ -131,7 +129,7 @@ def _stationarity_scaled(c: CanonicalCoupling, h: float, beta: float) -> float:
     removed, and it is finite at h = 0, where J = jt. The unit keeps the
     h = 0 value, (beta jt)^2/4 at high T, in range; it is 1 at jt = 0.
     """
-    r, _, x, _, ap, am, ch, sh, xc, hx = _scaled_form(c, h, beta)
+    r, _, x, ap, am, ch, sh, xc, hx = _scaled_form(c, h, beta)
     unit = min(beta * c.gaps[0], 1.0) or 1.0  # beta jt
     a = ap + am
     g = a + ch
@@ -150,7 +148,7 @@ def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
     formed, so huge fields stay in range. Needs J > 0.
     """
     jt, dp, dm = c.gaps  # jt - kp and jt + km
-    r, j, x, m, ap, am, ch, sh, xc, _ = _scaled_form(c, h, beta)
+    r, j, x, ap, am, ch, sh, xc, _ = _scaled_form(c, h, beta)
     dj = 2.0 * h * (2.0 * h / (j + jt))  # J - jt without the cancellation
     cs = ch + r * sh  # C + S
     a = ap + am
@@ -158,7 +156,7 @@ def _negativity_derivatives(c: CanonicalCoupling, h: float, beta: float):
     g_b = (jt - dp) * ap - (dm - jt) * am + j * sh
     n = (r * sh - a) / g
     q = dj * (1.0 + r) * sh  # S_b + C_b - k (C + S) = (jt - k)(C + S) + q
-    num = jt * math.exp(-2.0 * m) + ap * (dp * cs + q) + am * (dm * cs + q)
+    num = jt * math.exp(-2.0 * x) + ap * (dp * cs + q) + am * (dm * cs + q)
     num_b = cs * (a * dj * (j + jt) + ap * dp * (2.0 * jt - dp) + am * dm * (2.0 * jt - dm))
     n_b = num / (g * g)
     n_bb = (num_b * g - 2.0 * num * g_b) / (g * g * g)

@@ -34,8 +34,6 @@ class OptimizationResult:
     h_op: float
     n_op: float
     phase: str  # "low_t" (h_op = 0) or "high_t"
-    bracket: tuple
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     beta = _validate_beta(beta)
     if _stationarity_scaled(c, 0.0, beta) <= 0.0:
         n0 = max(negativity_tilde(c, 0.0, beta), 0.0)
-        return OptimizationResult(0.0, n0, "low_t", (0.0, 0.0), 0)
+        return OptimizationResult(0.0, n0, "low_t")
     s = _unit(c)
 
     def stationarity(u):
@@ -155,14 +153,13 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
 
     t = 1.0 / (beta * s)
     u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
-    bracket = (0.0, s * u_max)
 
     def failure(what):
-        return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {bracket[1]:.17g}]")
+        return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {s * u_max:.17g}]")
 
     if stationarity(u_max) >= 0.0:
         raise failure("no field bracket")
-    u_op, iterations = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
+    u_op, _ = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
     if u_op is None:
         raise failure("field root did not converge")
     h_op = s * u_op
@@ -174,7 +171,7 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
         or negativity_tilde(c, max(h_op - delta, 0.0), beta) > n_op + slack
     ):
         raise failure(f"stationary point at h = {h_op:.17g} is not a maximum")
-    return OptimizationResult(h_op, max(n_op, 0.0), "high_t", bracket, iterations)
+    return OptimizationResult(h_op, max(n_op, 0.0), "high_t")
 
 
 # boundary_temperature's beta window, in units of 1/s (see _unit); its top
@@ -186,14 +183,14 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     """Temperature T_c below which the optimizing field vanishes; 0 when it never does.
 
     It never does exactly when the ground level is degenerate, by the exact
-    test CanonicalCoupling.gaps[1] <= 0. Otherwise the h -> 0 limit of the
+    test CanonicalCoupling.gaps[1] == 0. Otherwise the h -> 0 limit of the
     stationarity function changes sign once in beta, from positive at high
     temperature to non-positive at low temperature, and T_c is that root: one
     Brent solve in y = ln(beta s) on the coupling / s, both ends checked first,
     over beta s in [1e-3, max(1e16, 1e3 s / (jt - kp))]: at the root beta
     (jt - kp) ~ ln(2 beta jt) < 1e3, so gaps down to about 1e-305 s are found.
     """
-    if c.gaps[1] <= 0.0:
+    if c.gaps[1] == 0.0:
         return 0.0
     s = _unit(c)
     unit_c = CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s)  # exact; beta s cannot overflow

@@ -22,9 +22,6 @@ PAULI_BASIS = np.array(
     + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
 )
 
-# Slack of each inequality in is_canonical_diagonal, relative to |jx| + |jy| + |jz|.
-_RTOL = 1e-12
-
 
 def _as_coupling_matrix(j) -> np.ndarray:
     j = np.asarray(j, dtype=float)
@@ -49,13 +46,8 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
 
 
 def is_canonical_diagonal(jx: float, jy: float, jz: float) -> bool:
-    """True when either {jx, jy} >= jz >= 0 or 0 >= jz >= {jx, jy}, with |jz| minimal."""
-    tol = _RTOL * (abs(jx) + abs(jy) + abs(jz))
-    if abs(jz) > min(abs(jx), abs(jy)) + tol:
-        return False
-    afm = jx >= jz - tol and jy >= jz - tol and jz >= -tol
-    fm = jz <= tol and jz >= jx - tol and jz >= jy - tol
-    return afm or fm
+    """True when either {jx, jy} >= jz >= 0 or 0 >= jz >= {jx, jy}, exactly: |jz| is minimal."""
+    return 0.0 <= jz <= min(jx, jy) or max(jx, jy) <= jz <= 0.0
 
 
 @dataclass(eq=False)
@@ -92,12 +84,12 @@ class CanonicalCoupling:
 
     @cached_property
     def gaps(self) -> tuple[float, float, float]:
-        """jt = |jx + jy| and the level gaps jt - kp = 2 (sgn(jx jy) min(|jx|, |jy|) + jz) and
-        jt + km = 2 (max(|jx|, |jy|) + jz), kp, km = |jx - jy| -+ 2 jz: one rounded sum each,
-        so exact at 0. jt - kp <= 0 is the one degeneracy test (jz <= 0, jz = jx or jy)."""
-        jx, jy, jz = self.jx, self.jy, self.jz
-        lo, hi = (jx, jy) if abs(jx) <= abs(jy) else (jy, jx)
-        return abs(jx + jy), 2.0 * (math.copysign(lo, lo * hi) + jz), 2.0 * (abs(hi) + jz)
+        """jt = |jx + jy| and the level gaps jt - kp = 2 (min(|jx|, |jy|) + jz) >= 0 and
+        jt + km = 2 (max(|jx|, |jy|) + jz) >= 0, kp, km = |jx - jy| -+ 2 jz, as jx and jy
+        share a sign: one rounded sum each, so exact at 0. jt - kp == 0 is the one
+        degeneracy test (jz <= 0, jz = jx or jy)."""
+        lo, hi = sorted((abs(self.jx), abs(self.jy)))
+        return abs(self.jx + self.jy), 2.0 * (lo + self.jz), 2.0 * (hi + self.jz)
 
     @property
     def sign_class(self) -> str:

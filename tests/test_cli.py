@@ -52,6 +52,11 @@ def test_boundary_scalar(capsys):
     payload = json.loads(out)
     assert payload["t_c"] == pytest.approx(0.8168, abs=1e-3)
     assert "config_hash" in payload
+    assert "warning" not in payload
+    # a rotated coupling is canonicalized, and the record says so
+    code, out = run_cli(capsys, "boundary", "--coupling", "1,1,0,-1,1,0,0,0,-2")
+    assert code == 0
+    assert json.loads(out)["warning"].startswith("coupling was not in canonical diagonal form")
 
 
 def test_boundary_ising_is_zero(capsys):
@@ -172,16 +177,21 @@ def test_verify_hypothesis_json_deterministic(tmp_path):
 
 
 def test_measure_matches_identity(capsys):
-    code, out = run_cli(
-        capsys,
+    argv = [
         "measure", "--diag", "0.5,0.3333333333333333,0.1666666666666667",
         "--beta", "1.0", "--field-z", "1.0",
-    )
+    ]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["negativity"] == pytest.approx(payload["concurrence"], abs=1e-9)
     assert 0.0 <= payload["pi"] <= 1.0
     assert 0.25 <= payload["purity"] <= 1.0
+    # --fields spelling out the opposed z fields is --field-z itself
+    fields = ["--fields", "0,0,1,0,0,-1"]
+    assert run_cli(capsys, *argv[:-2], *fields) == (0, out)
+    # and no field is --field-z 0, config hash included
+    assert run_cli(capsys, *argv[:-2]) == run_cli(capsys, *argv[:-2], "--field-z", "0")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -189,6 +199,12 @@ def test_usage_errors_exit_2(capsys):
         ["boundary"],  # no coupling
         ["boundary", "--diag", "1,2"],  # wrong arity
         ["boundary", "--diag", "1,2,nan"],  # non-finite
+        ["boundary", "--diag", "1,x,2"],  # unparseable
+        ["boundary", "--coupling", "1,0,0,0,1,0,0,0,1", "--diag", "1,1,1"],
+        ["measure", "--diag", "1,1,1", "--temperature", "0"],
+        ["optimize", "--diag", "1,1,1", "--t-min", "0"],
+        ["phase-diagram", "--class", "afm", "--grid-step", "0"],
+        ["phase-diagram", "--class", "afm", "--grid-min", "3", "--grid-max", "2"],
         ["measure", "--diag", "1,1,1"],  # neither temperature nor beta
         ["measure", "--diag", "1,1,1", "--beta", "1", "--temperature", "2"],
         ["measure", "--diag", "1,1,1", "--beta", "-1"],

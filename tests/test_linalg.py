@@ -29,6 +29,8 @@ def test_eigen_rejects_non_hermitian():
     assert hermiticity_defect(m) == 1.0
     with pytest.raises(NonHermitianError, match="non-finite"):
         hermitian_eigen(np.full((4, 4), np.nan))
+    with pytest.raises(NonHermitianError, match="square"):
+        hermitian_eigen(np.zeros((4, 3)))
 
 
 def test_eigen_reconstruction_bulk():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_canonical
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entopt.linalg import hermitian_eigen
 from entopt.spin_model import (
@@ -34,6 +36,10 @@ def spectrum(j, h1=(0, 0, 0), h2=(0, 0, 0)):
 
 def test_build_zero():
     assert np.allclose(build_hamiltonian(np.zeros((3, 3))), 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        build_hamiltonian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        build_hamiltonian([1.0, np.nan, 0.0])
 
 
 def test_build_isotropic_spectrum():
@@ -133,8 +139,62 @@ def test_canonical_invariants():
         singular = np.array([j[0], j[1], j[0] - 2.0 * j[1]]) * 1e4
         for c in (canonicalize(j), canonicalize(singular)):
             assert is_canonical_diagonal(c.jx, c.jy, c.jz)
-            assert abs(c.jz) <= min(abs(c.jx), abs(c.jy)) + 1e-12
-            assert c.jx >= c.jy - 1e-12
+            assert abs(c.jz) <= min(abs(c.jx), abs(c.jy))
+            assert c.jx >= c.jy
+
+
+@st.composite
+def rotated_couplings(draw):
+    """(J, d): J = q1 diag(d) q2 for random rotations q1, q2, at scales 1e-8 to 1e8.
+
+    The diagonal d is canonical: generic, rank 1 (a degenerate ground level),
+    rank 2, a ferromagnet with its two smallest magnitudes equal (degenerate
+    too), or one whose two smallest magnitudes differ by a relative 1e-16 to
+    1e-6.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    a, b, c = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)), reverse=True)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["generic", "rank1", "rank2", "degenerate", "near_degenerate"]))
+    if kind == "generic":
+        d = (sign * a, sign * b, sign * c)
+    elif kind == "rank1":
+        d = (sign * a, 0.0, 0.0)
+    elif kind == "rank2":
+        d = (sign * a, sign * b, 0.0)
+    elif kind == "degenerate":
+        d = draw(st.sampled_from([(-a, -b, -b), (-a, -a, -a)]))
+    else:
+        d = (-a, -b, -b * (1.0 - 10.0 ** draw(st.floats(-16.0, -6.0))))
+
+    def rotation():
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        return q * np.linalg.det(q)
+
+    return rotation() @ np.diag(d) @ rotation() * scale, d
+
+
+@settings(max_examples=400)
+@given(rotated_couplings(), st.floats(1e-30, 1e30))
+def test_canonicalize_invariants_at_edges(case, divisor):
+    j, d = case
+    c = canonicalize(j)
+    assert c.gaps[1] >= 0.0 and c.gaps[2] >= 0.0
+    # d is canonical; a degenerate ground level (jz <= 0, jz = jx or jy) keeps
+    # its zero gap, and only a level split by rounding's size can gain one
+    if d[2] <= 0.0 and d[2] in d[:2]:
+        assert c.gaps[1] == 0.0
+    elif c.gaps[1] == 0.0:
+        assert abs(d[1] - d[2]) <= 1e-13 * abs(d[0])
+    assert abs(np.linalg.det(c.r1) - 1.0) <= 1e-12
+    assert abs(np.linalg.det(c.r2) - 1.0) <= 1e-12
+    assert np.max(np.abs(c.r1 @ j @ c.r2.T - np.diag(c.diagonal))) <= 1e-12 * c.norm
+    # division by a positive float rounds monotonically, so the order of
+    # jx, jy, jz and 0 survives: the solvers and the searches rely on it
+    for q in (divisor, c.norm):
+        CanonicalCoupling(c.jx / q, c.jy / q, c.jz / q)
 
 
 def test_from_diagonal_validation():
@@ -143,7 +203,7 @@ def test_from_diagonal_validation():
         CanonicalCoupling(1 / 6, 1 / 3, 1 / 2)  # |jz| not minimal
     with pytest.raises(ValueError, match="finite"):
         CanonicalCoupling(np.inf, np.inf, np.inf)
-    # the slack scales with the coupling, so tiny couplings are checked too
+    # the test is exact, so tiny couplings are checked too
     with pytest.raises(ValueError, match="canonical"):
         CanonicalCoupling(1e-13, 1e-13, -5e-13)
 
