@@ -79,7 +79,7 @@ def _canonical_from_args(args):
     """Canonical coupling from the CLI input plus a warning when it was rotated."""
     j = _coupling_from_args(args)
     diag = np.diag(j).copy()
-    if np.allclose(j, np.diag(diag), atol=0.0) and is_canonical_diagonal(*diag):
+    if np.array_equal(j, np.diag(diag)) and is_canonical_diagonal(*diag):
         return CanonicalCoupling(*diag), None
     c = canonicalize(j)
     warning = (
@@ -150,14 +150,13 @@ def _dataclass_table(cls, records: list) -> tuple[list, list]:
 
 
 def _write_table(args, config: dict, columns: list, rows: list, warning=None) -> None:
-    digest = _config_hash(config)
     if args.format == "json":
-        payload = {"config": config, "config_hash": digest, "columns": columns, "rows": rows}
+        record = {"columns": columns, "rows": rows}
         if warning:
-            payload["warning"] = warning
-        _emit(_dumps(payload, indent=2) + "\n", args.out)
+            record["warning"] = warning
+        _write_record(args, config, record)
         return
-    lines = [f"# config_hash={digest} config={_dumps(config)}"]
+    lines = [f"# config_hash={_config_hash(config)} config={_dumps(config)}"]
     if warning:
         lines.append(f"# warning: {warning}")
     lines.append(",".join(columns))

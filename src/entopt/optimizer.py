@@ -174,11 +174,6 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     return OptimizationResult(h_op, max(n_op, 0.0), "high_t")
 
 
-# boundary_temperature's beta window, in units of 1/s (see _unit); its top
-# end grows on small level gaps, up to beta s = 1e308.
-_BETA_WINDOW = (1e-3, 1e16)
-
-
 def boundary_temperature(c: CanonicalCoupling) -> float:
     """Temperature T_c below which the optimizing field vanishes; 0 when it never does.
 
@@ -187,8 +182,9 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     stationarity function changes sign once in beta, from positive at high
     temperature to non-positive at low temperature, and T_c is that root: one
     Brent solve in y = ln(beta s) on the coupling / s, both ends checked first,
-    over beta s in [1e-3, max(1e16, 1e3 s / (jt - kp))]: at the root beta
-    (jt - kp) ~ ln(2 beta jt) < 1e3, so gaps down to about 1e-305 s are found.
+    over beta s in [1e-3, min(1e3 s / (jt - kp), 1e308)]. The top brackets every
+    T_c: at the root beta (jt - kp) ~ ln(2 beta jt) <= ~710 up to beta s = 1e308,
+    so gaps down to about 1e-305 s are found.
     """
     if c.gaps[1] == 0.0:
         return 0.0
@@ -198,8 +194,7 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     def g(y):
         return _stationarity_scaled(unit_c, 0.0, math.exp(y))
 
-    bottom = _BETA_WINDOW[0]
-    top = min(max(_BETA_WINDOW[1], 1e3 * s / c.gaps[1]), 1e308)
+    bottom, top = 1e-3, min(1e3 * s / c.gaps[1], 1e308)
     lo, hi = math.log(bottom), math.log(top)
 
     def failure(what):  # the window in beta s: beta itself can overflow when s is small
@@ -343,6 +338,7 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    beta = _validate_beta(beta)
     j = np.asarray(j, dtype=float)
     c = canonicalize(j)
     scale = c.norm

@@ -38,11 +38,17 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Assemble sum_ij J_ij s1^i s2^j + sum_i (h1^i s1^i + h2^i s2^i).
 
     Basis ordering is |00>, |01>, |10>, |11> with sigma^z |0> = +|0>. A
-    length-3 coupling is treated as the diagonal (Jx, Jy, Jz).
+    length-3 coupling is treated as the diagonal (Jx, Jy, Jz); each field must
+    be a finite 3-vector.
     """
     j = _as_coupling_matrix(j)
-    fields = np.concatenate((np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)))
-    return (np.concatenate((j.ravel(), fields)) @ PAULI_BASIS).reshape(4, 4)
+    h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
+    if h1.shape != (3,) or h2.shape != (3,):
+        raise ValueError(f"fields must be 3-vectors, got shapes {h1.shape} and {h2.shape}")
+    coeffs = np.concatenate((j.ravel(), h1, h2))
+    if not all(map(math.isfinite, coeffs[9:].tolist())):
+        raise ValueError("field has non-finite entries")
+    return (coeffs @ PAULI_BASIS).reshape(4, 4)
 
 
 def is_canonical_diagonal(jx: float, jy: float, jz: float) -> bool:

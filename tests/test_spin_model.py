@@ -40,6 +40,14 @@ def test_build_zero():
         build_hamiltonian(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         build_hamiltonian([1.0, np.nan, 0.0])
+    # each field must be a finite 3-vector, even when the two hold six values
+    for h1, h2 in [((1, 2, 3, 4), (5, 6)), ((1, 2), (3, 4, 5)), (1.0, (0, 0, 1)),
+                   ((0, 0, 1), np.zeros((3, 1)))]:
+        with pytest.raises(ValueError, match="3-vectors"):
+            build_hamiltonian(np.eye(3), h1, h2)
+    for h1, h2 in [((0, np.inf, 0), (0, 0, 0)), ((0, 0, 0), (np.nan, 0, 0))]:
+        with pytest.raises(ValueError, match="field has non-finite"):
+            build_hamiltonian(np.eye(3), h1, h2)
 
 
 def test_build_isotropic_spectrum():
