@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 # Shared tolerances; solvers and tests must agree on these.
@@ -10,19 +12,8 @@ HERMITICITY_RTOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-12
 
 
-# scipy.linalg.lapack.zheevd, loaded by the first _eigh call, so that
-# importing the package loads no scipy.
-_zheevd = None
-
-
 class NonHermitianError(ValueError):
     """Raised when a matrix fails the Hermiticity check."""
-
-
-def hermiticity_defect(m) -> float:
-    """Largest absolute deviation of M from its conjugate transpose."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -30,16 +21,26 @@ def require_hermitian(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # on the entries: a finite 1e308+1e308j has |m| = inf
+    if not np.isfinite(m).all():
         raise NonHermitianError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(m)))
-    defect = hermiticity_defect(m)
+    mh = m.conj().T
+    scale = float(np.abs(m).max())
+    defect = float(np.abs(m - mh).max())
     if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
+
+
+@cache
+def _lapack():
+    """scipy.linalg.lapack, imported on first use, so that importing the package loads no scipy."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _eigh(m, vectors: bool = True):
@@ -48,13 +49,22 @@ def _eigh(m, vectors: bool = True):
     Calls LAPACK zheevd on the lower triangle, as numpy.linalg.eigh does, but
     without numpy's per-call wrapper, which costs as much as a 4x4 solve.
     """
-    global _zheevd
-    if _zheevd is None:
-        from scipy.linalg.lapack import zheevd as _zheevd
-    values, v, info = _zheevd(m, compute_v=vectors, lower=1)
+    values, v, info = _lapack().zheevd(m, compute_v=vectors, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed with info = {info}")
     return values, v
+
+
+def _svdvals(m) -> np.ndarray:
+    """Singular values of a complex matrix, descending, from LAPACK zgesdd.
+
+    The same call numpy.linalg.svd(m, compute_uv=False) makes, without numpy's
+    per-call wrapper.
+    """
+    _, s, _, info = _lapack().zgesdd(m, compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgesdd failed with info = {info}")
+    return s
 
 
 def hermitian_eigen(m):

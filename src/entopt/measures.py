@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_EIGENVALUE_FLOOR, _eigh, hermitian_eigen, require_hermitian
+from .linalg import PSD_EIGENVALUE_FLOOR, _eigh, _svdvals, hermitian_eigen, require_hermitian
 from .spin_model import SIGMA_Y
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -56,11 +57,11 @@ def concurrence(rho) -> float:
     precision loss of rooting near-zero eigenvalues.
     """
     values, vectors = hermitian_eigen(rho)
-    s = np.sqrt(np.clip(values, 0.0, None))  # roundoff can leave tiny negatives
+    s = np.sqrt(np.maximum(values, 0.0))  # roundoff can leave tiny negatives
     sqrt_rho = (vectors * s) @ vectors.conj().T
     m = _SYSY @ sqrt_rho.conj() @ _SYSY @ sqrt_rho
-    r = np.linalg.svd(m, compute_uv=False)
-    return float(max(0.0, r[0] - r[1] - r[2] - r[3]))
+    r0, r1, r2, r3 = _svdvals(m).tolist()
+    return max(0.0, r0 - r1 - r2 - r3)
 
 
 def pi_measure(rho) -> float:
@@ -75,10 +76,10 @@ def necessary_condition(rho) -> bool:
     with nonzero negativity satisfies both inequalities; separable states may
     fail them. Both hold within an absolute slack of 1e-12.
     """
-    values, _ = hermitian_eigen(rho)
-    l4, l3, l2, l1 = np.clip(values, 0.0, None)
-    mid = l3 + 2.0 * np.sqrt(l2 * l4)
-    return bool(l1 + 1e-12 >= mid and mid + 1e-12 >= 3.0 * l4)
+    values = _eigh(require_hermitian(rho), vectors=False)[0].tolist()
+    l4, l3, l2, l1 = (max(v, 0.0) for v in values)
+    mid = l3 + 2.0 * math.sqrt(l2 * l4)
+    return l1 + 1e-12 >= mid and mid + 1e-12 >= 3.0 * l4
 
 
 @dataclass(frozen=True)

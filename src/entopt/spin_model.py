@@ -29,9 +29,18 @@ def _as_coupling_matrix(j) -> np.ndarray:
         j = np.diag(j)
     if j.shape != (3, 3):
         raise ValueError(f"coupling must be a 3x3 matrix or a 3-vector, got shape {j.shape}")
-    if not np.all(np.isfinite(j)):
+    if not all(map(math.isfinite, j.ravel().tolist())):
         raise ValueError("coupling has non-finite entries")
     return j
+
+
+def _det3(r) -> float:
+    """Determinant of a 3x3 matrix by cofactors, in Python floats.
+
+    Only its sign is read, on orthogonal matrices, where det = +-1 to rounding.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -125,10 +134,10 @@ def canonicalize(j) -> CanonicalCoupling:
     d = np.array(x)
     # Inversions cannot be realized by spin rotations; trade them for a sign
     # on the smallest singular value.
-    if np.linalg.det(r1) < 0:
+    if _det3(r1) < 0:
         r1[2, :] *= -1.0
         d[2] *= -1.0
-    if np.linalg.det(r2) < 0:
+    if _det3(r2) < 0:
         r2[2, :] *= -1.0
         d[2] *= -1.0
     # d[2] now carries the sign of det J. Deciding the class on it, not on a

@@ -19,10 +19,14 @@ entopt.optimal_field(fig3, 0.25)
 entopt.boundary_temperature(fig3)
 entopt.phase_diagram([1.0, 2.0], [1.0, 3.0], "afm")
 entopt.high_t_hop_exact(0.5, 1 / 3, 0.01)
+entopt.canonicalize(np.array([[1, 1, 0], [-1, 1, 0], [0, 0, -2]]))
 assert scipy_modules() == [], scipy_modules()
 
-gibbs_state(build_hamiltonian(fig3.diagonal), 1.0)
+rho, _ = gibbs_state(build_hamiltonian(fig3.diagonal), 1.0)
 assert "scipy.linalg" in sys.modules
+entopt.entanglement_report(rho)
+entopt.necessary_condition(rho)
+assert "scipy.optimize" not in sys.modules
 report = entopt.verify_hypothesis1(np.diag([0.5, 1 / 3, 1 / 6]), 1.0, restarts=2, seed=3)
 assert report.passed and report.restarts == 2, report
 print("ok")
@@ -30,7 +34,8 @@ print("ok")
 
 
 def test_solvers_load_no_scipy():
-    # scipy is loaded on first use, by the Gibbs state and the hypothesis search only
+    # scipy is loaded on first use: scipy.linalg by the Gibbs state and the measures,
+    # scipy.optimize by the hypothesis search only
     src = os.path.dirname(os.path.dirname(entopt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

@@ -4,10 +4,17 @@ from conftest import random_hermitian
 
 from entopt.linalg import (
     NonHermitianError,
+    _svdvals,
     hermitian_eigen,
-    hermiticity_defect,
+    require_hermitian,
 )
 from entopt.spin_model import IDENTITY_2, SIGMA_Z
+
+
+def hermiticity_defect(m) -> float:
+    """Largest absolute deviation of M from its conjugate transpose."""
+    m = np.asarray(m)
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def test_eigen_sigma_z_tensor_identity():
@@ -43,3 +50,65 @@ def test_eigen_reconstruction_bulk():
         assert np.max(np.abs(rebuilt - m)) <= 1e-10 * scale
         assert np.all(np.diff(values) >= 0)
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-10
+
+
+def test_require_hermitian_returns_the_exact_symmetrization():
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = random_hermitian(rng, scale=scale) + 1e-14 * scale * noise
+        assert np.array_equal(require_hermitian(m), (m + m.conj().T) / 2.0)
+    real = rng.normal(size=(4, 4))
+    real = real + real.T
+    assert np.array_equal(require_hermitian(real), (real + real.T) / 2.0 + 0j)
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(0.0, np.nan), complex(1.0, np.nan), np.inf, -np.inf, complex(0.0, np.inf)]
+)
+def test_require_hermitian_rejects_non_finite_entries(entry):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = entry
+    with pytest.raises(NonHermitianError) as info:
+        require_hermitian(m)
+    assert str(info.value) == "matrix has non-finite entries"
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2), (1, 4)])
+def test_require_hermitian_rejects_non_square_shapes(shape):
+    with pytest.raises(NonHermitianError) as info:
+        require_hermitian(np.zeros(shape))
+    assert str(info.value) == f"expected a square matrix, got shape {shape}"
+
+
+def test_require_hermitian_tolerance_edge():
+    # the largest entry is 3, so the tolerance on the defect is 3e-12
+    m = np.diag([3.0, 1.0, -2.0, 0.5]).astype(complex)
+    m[0, 1] = 1.01 * 3e-12
+    assert hermiticity_defect(m) == 1.01 * 3e-12
+    with pytest.raises(NonHermitianError) as info:
+        require_hermitian(m)
+    message = "matrix is not Hermitian: defect 3.030e-12 exceeds 1.0e-12 * 3.000e+00"
+    assert str(info.value) == message
+    m[0, 1] = 0.99 * 3e-12
+    assert np.array_equal(require_hermitian(m), (m + m.conj().T) / 2.0)
+
+
+def test_require_hermitian_tests_finiteness_on_the_entries():
+    # finite entries whose modulus overflows are accepted: |m| = inf is no test
+    # of finiteness (the symmetrization itself overflows here)
+    m = np.eye(4, dtype=complex)
+    m[0, 1], m[1, 0] = 1.3e308 + 1.3e308j, 1.3e308 - 1.3e308j
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert require_hermitian(m).shape == (4, 4)
+
+
+def test_svdvals_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        m = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        assert np.array_equal(_svdvals(m), np.linalg.svd(m, compute_uv=False))
+    for m in (np.zeros((4, 4), dtype=complex), np.outer([1, 2j, 0, 1], [1, 1, 1j, 0])):
+        assert np.array_equal(_svdvals(m), np.linalg.svd(m, compute_uv=False))

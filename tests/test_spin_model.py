@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from entopt.linalg import hermitian_eigen
 from entopt.spin_model import (
     CanonicalCoupling,
+    _det3,
     build_hamiltonian,
     canonicalize,
     is_canonical_diagonal,
@@ -151,8 +152,11 @@ def test_canonical_invariants():
             assert c.jx >= c.jy
 
 
+EDGE_KINDS = ("generic", "rank1", "rank2", "degenerate", "near_degenerate")
+
+
 @st.composite
-def rotated_couplings(draw):
+def rotated_couplings(draw, kinds=EDGE_KINDS):
     """(J, d): J = q1 diag(d) q2 for random rotations q1, q2, at scales 1e-8 to 1e8.
 
     The diagonal d is canonical: generic, rank 1 (a degenerate ground level),
@@ -164,7 +168,7 @@ def rotated_couplings(draw):
     scale = 10.0 ** draw(st.floats(-8.0, 8.0))
     a, b, c = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)), reverse=True)
     sign = draw(st.sampled_from([1.0, -1.0]))
-    kind = draw(st.sampled_from(["generic", "rank1", "rank2", "degenerate", "near_degenerate"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "generic":
         d = (sign * a, sign * b, sign * c)
     elif kind == "rank1":
@@ -203,6 +207,43 @@ def test_canonicalize_invariants_at_edges(case, divisor):
     # jx, jy, jz and 0 survives: the solvers and the searches rely on it
     for q in (divisor, c.norm):
         CanonicalCoupling(c.jx / q, c.jy / q, c.jz / q)
+
+
+@settings(max_examples=300)
+@given(rotated_couplings(kinds=("rank1", "rank2", "degenerate")))
+def test_canonicalize_rotations_are_proper_on_singular_and_degenerate_couplings(case):
+    j, _ = case
+    # the cofactor sign decides every inversion exactly as np.linalg.det does
+    u, _, vh = np.linalg.svd(j)
+    for r in (u.T, vh):
+        assert (_det3(r) < 0) == (np.linalg.det(r) < 0)
+    c = canonicalize(j)
+    assert abs(np.linalg.det(c.r1) - 1.0) <= 1e-12
+    assert abs(np.linalg.det(c.r2) - 1.0) <= 1e-12
+
+
+# rank 1, rank 2 and degenerate diagonals of both sign classes, and J = 0
+EXACT_EDGES = [
+    (1.0, 0.0, 0.0),
+    (-1.0, 0.0, 0.0),
+    (1.0, 0.5, 0.0),
+    (-1.0, -0.5, 0.0),
+    (-1.0, -0.5, -0.5),
+    (-1.0, -1.0, -1.0),
+    (0.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("d", EXACT_EDGES)
+def test_canonicalize_rotations_are_proper_on_exact_signed_permutations(d):
+    # exact zeros and ties leave the SVD's null and degenerate vectors free in sign
+    for p1, p2 in ([0, 1, 2], [2, 0, 1]), ([1, 0, 2], [0, 2, 1]), ([2, 1, 0], [1, 0, 2]):
+        q1, q2 = np.eye(3)[p1] * [1.0, -1.0, 1.0], np.eye(3)[p2]
+        j = q1 @ np.diag(d) @ q2
+        c = canonicalize(j)
+        assert abs(np.linalg.det(c.r1) - 1.0) <= 1e-12
+        assert abs(np.linalg.det(c.r2) - 1.0) <= 1e-12
+        assert np.max(np.abs(c.r1 @ j @ c.r2.T - np.diag(c.diagonal))) <= 1e-12 * max(c.norm, 1.0)
 
 
 def test_from_diagonal_validation():
