@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from functools import cache
+import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, svd
 
 # Shared tolerances; solvers and tests must agree on these.
 HERMITICITY_RTOL = 1e-12
 # Partial-transpose eigenvalues above this floor count as non-negative.
 PSD_EIGENVALUE_FLOOR = -1e-12
+_SCALE_MAX = np.finfo(float).max / 2.0  # larger entries can overflow M + M^dagger
 
 
 class NonHermitianError(ValueError):
@@ -26,6 +28,8 @@ def require_hermitian(m) -> np.ndarray:
         raise NonHermitianError("matrix has non-finite entries")
     mh = m.conj().T
     scale = float(np.abs(m).max())
+    if scale > _SCALE_MAX:
+        raise NonHermitianError(f"matrix entries up to {scale:.3e} overflow M + M^dagger")
     defect = float(np.abs(m - mh).max())
     if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
@@ -35,35 +39,28 @@ def require_hermitian(m) -> np.ndarray:
     return (m + mh) / 2.0
 
 
-@cache
-def _lapack():
-    """scipy.linalg.lapack, imported on first use, so that importing the package loads no scipy."""
-    from scipy.linalg import lapack
-
-    return lapack
-
-
 def _eigh(m, vectors: bool = True):
     """(values, vectors) of a matrix Hermitian by construction, values ascending.
 
-    Calls LAPACK zheevd on the lower triangle, as numpy.linalg.eigh does, but
-    without numpy's per-call wrapper, which costs as much as a 4x4 solve.
+    numpy's own zheevd gufuncs on the lower triangle, which numpy.linalg.eigh and
+    eigvalsh call, without their per-call wrapper; vectors is None when
+    vectors=False. A LAPACK failure comes back as NaN (and numpy's "invalid" flag).
     """
-    values, v, info = _lapack().zheevd(m, compute_v=vectors, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevd failed with info = {info}")
+    if vectors:
+        values, v = eigh_lo(m, signature="D->dD")
+    else:
+        values, v = eigvalsh_lo(m, signature="D->d"), None
+    if math.isnan(values[0]):
+        raise np.linalg.LinAlgError("zheevd did not converge")
     return values, v
 
 
 def _svdvals(m) -> np.ndarray:
-    """Singular values of a complex matrix, descending, from LAPACK zgesdd.
-
-    The same call numpy.linalg.svd(m, compute_uv=False) makes, without numpy's
-    per-call wrapper.
-    """
-    _, s, _, info = _lapack().zgesdd(m, compute_uv=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgesdd failed with info = {info}")
+    """Singular values of a complex matrix, descending, from numpy's zgesdd gufunc:
+    the call numpy.linalg.svd(m, compute_uv=False) makes, without its wrapper."""
+    s = svd(m, signature="D->d")
+    if math.isnan(s[0]):
+        raise np.linalg.LinAlgError("zgesdd did not converge")
     return s
 
 

@@ -4,6 +4,7 @@ from conftest import random_hermitian
 
 from entopt.linalg import (
     NonHermitianError,
+    _eigh,
     _svdvals,
     hermitian_eigen,
     require_hermitian,
@@ -95,20 +96,37 @@ def test_require_hermitian_tolerance_edge():
     assert np.array_equal(require_hermitian(m), (m + m.conj().T) / 2.0)
 
 
-def test_require_hermitian_tests_finiteness_on_the_entries():
-    # finite entries whose modulus overflows are accepted: |m| = inf is no test
-    # of finiteness (the symmetrization itself overflows here)
+def test_require_hermitian_rejects_entries_whose_symmetrization_overflows():
+    # a finite 1.3e308+1.3e308j has |m| = inf, and a real 1e308 pair overflows
+    # in m + m^dagger; both are rejected before the symmetrization
+    for entry in (1.3e308 + 1.3e308j, 1e308):
+        m = np.eye(4, dtype=complex)
+        m[0, 1], m[1, 0] = entry, np.conj(entry)
+        with pytest.raises(NonHermitianError, match="overflow"):
+            require_hermitian(m)
     m = np.eye(4, dtype=complex)
-    m[0, 1], m[1, 0] = 1.3e308 + 1.3e308j, 1.3e308 - 1.3e308j
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert require_hermitian(m).shape == (4, 4)
+    m[0, 1], m[1, 0] = 4e307, 4e307
+    assert np.array_equal(require_hermitian(m), m)
 
 
 def test_svdvals_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(13)
+    matrices = [np.zeros((4, 4), dtype=complex), np.outer([1, 2j, 0, 1], [1, 1, 1j, 0])]
     for _ in range(1000):
         scale = 10.0 ** rng.uniform(-8.0, 8.0)
-        m = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        matrices.append(scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))))
+    for m in matrices:
         assert np.array_equal(_svdvals(m), np.linalg.svd(m, compute_uv=False))
-    for m in (np.zeros((4, 4), dtype=complex), np.outer([1, 2j, 0, 1], [1, 1, 1j, 0])):
-        assert np.array_equal(_svdvals(m), np.linalg.svd(m, compute_uv=False))
+        values, vectors = _eigh(m)
+        expected = np.linalg.eigh(m)
+        assert np.array_equal(values, expected.eigenvalues)
+        assert np.array_equal(vectors, expected.eigenvectors)
+        assert np.array_equal(_eigh(m, vectors=False)[0], np.linalg.eigvalsh(m))
+
+
+def test_lapack_seam_raises_on_failure():
+    m = np.full((4, 4), np.nan, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for solve in (_eigh, lambda m: _eigh(m, vectors=False), _svdvals):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                solve(m)
