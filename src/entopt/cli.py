@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
@@ -60,17 +59,15 @@ def _parse_reals(text: str, count: int, label: str) -> np.ndarray:
         raise UsageError(f"could not parse {label}: {exc}") from None
     if values.size != count:
         raise UsageError(f"{label} needs {count} numbers, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise UsageError(f"{label} must be finite")
     return values
 
 
 def _coupling_from_args(args) -> np.ndarray:
-    if getattr(args, "coupling", None) and getattr(args, "diag", None):
+    if args.coupling and args.diag:
         raise UsageError("give either --coupling or --diag, not both")
-    if getattr(args, "coupling", None):
+    if args.coupling:
         return _parse_reals(args.coupling, 9, "--coupling").reshape(3, 3)
-    if getattr(args, "diag", None):
+    if args.diag:
         return np.diag(_parse_reals(args.diag, 3, "--diag"))
     raise UsageError("a coupling is required (--coupling or --diag)")
 
@@ -89,30 +86,16 @@ def _canonical_from_args(args):
     return c, warning
 
 
-def _beta_from_args(args) -> float:
-    t = getattr(args, "temperature", None)
-    b = getattr(args, "beta", None)
-    if (t is None) == (b is None):
-        raise UsageError("give exactly one of --temperature or --beta")
-    if t is not None:
-        if t <= 0:
-            raise UsageError("--temperature must be positive")
-        b = 1.0 / t
-    if not 0.0 < b < math.inf:
-        raise UsageError(f"the inverse temperature must be positive and finite, got {b}")
-    return b
-
-
 def _temperature_grid(args, spacing: str) -> np.ndarray:
-    if args.t_min <= 0 or args.t_max <= 0:
-        raise UsageError("--t-min and --t-max must be positive")
-    if args.t_max < args.t_min:
-        raise UsageError("--t-max must not be below --t-min")
+    if not args.t_max >= args.t_min:
+        raise UsageError(f"--t-max {args.t_max} must not be below --t-min {args.t_min}")
     if args.t_points < 1:
         raise UsageError("--t-points must be at least 1")
-    if spacing == "log":
-        return np.geomspace(args.t_min, args.t_max, args.t_points)
-    return np.linspace(args.t_min, args.t_max, args.t_points)
+    # Infinite or mixed-sign ends leave NaN or inf temperatures, which the solvers reject.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if spacing == "log":
+            return np.geomspace(args.t_min, args.t_max, args.t_points)
+        return np.linspace(args.t_min, args.t_max, args.t_points)
 
 
 def _fmt(value) -> str:
@@ -202,15 +185,15 @@ def _cmd_optimize(args) -> None:
 
 
 def _grid_values(args) -> np.ndarray:
-    if args.grid_step <= 0:
-        raise UsageError("--grid-step must be positive")
-    if args.grid_min < 1.0:
-        raise UsageError("--grid-min must be >= 1 (ratios are measured from the isotropic point)")
-    if args.grid_max < args.grid_min:
-        raise UsageError("--grid-max must not be below --grid-min")
+    if not 0.0 < args.grid_step < np.inf:
+        raise UsageError(f"--grid-step must be positive and finite, got {args.grid_step}")
+    if not args.grid_max >= args.grid_min:
+        raise UsageError(
+            f"--grid-max {args.grid_max} must not be below --grid-min {args.grid_min}"
+        )
     steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
-    if steps >= _MAX_GRID_VALUES:
-        raise UsageError(f"the grid would have more than {_MAX_GRID_VALUES} values per axis")
+    if not steps < _MAX_GRID_VALUES:
+        raise UsageError(f"--grid-* must span at most {_MAX_GRID_VALUES} values per axis")
     return args.grid_min + args.grid_step * np.arange(int(steps) + 1)
 
 
@@ -289,14 +272,11 @@ def _cmd_asymptote_compare(args) -> None:
 
 def _cmd_verify_hypothesis(args) -> None:
     j = _coupling_from_args(args)
-    beta = _beta_from_args(args)
-    if args.restarts < 1 or args.seed < 0:
-        raise UsageError("--restarts must be at least 1 and --seed non-negative")
-    report = verify_hypothesis1(j, beta, restarts=args.restarts, seed=args.seed)
+    report = verify_hypothesis1(j, args.beta, restarts=args.restarts, seed=args.seed)
     config = {
         "command": "verify-hypothesis",
         "coupling": j.tolist(),
-        "beta": beta,
+        "beta": args.beta,
         "restarts": args.restarts,
         "seed": args.seed,
     }
@@ -305,7 +285,6 @@ def _cmd_verify_hypothesis(args) -> None:
 
 def _cmd_measure(args) -> None:
     j = _coupling_from_args(args)
-    beta = _beta_from_args(args)
     if args.fields and args.field_z is not None:
         raise UsageError("give either --fields or --field-z, not both")
     if args.fields:
@@ -316,8 +295,10 @@ def _cmd_measure(args) -> None:
         fields = np.array([0.0, 0.0, args.field_z, 0.0, 0.0, 0.0 - args.field_z])
     else:
         fields = np.zeros(6)
-    rho, _ = gibbs_state(build_hamiltonian(j, fields[:3], fields[3:]), beta)
-    config = {"command": "measure", "coupling": j.tolist(), "fields": fields.tolist(), "beta": beta}
+    rho, _ = gibbs_state(build_hamiltonian(j, fields[:3], fields[3:]), args.beta)
+    config = {
+        "command": "measure", "coupling": j.tolist(), "fields": fields.tolist(), "beta": args.beta
+    }
     _write_record(args, config, asdict(entanglement_report(rho)) | {"purity": purity(rho)})
 
 
@@ -382,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-hypothesis", help="unconstrained field search vs the opposed-z optimum"
     )
     _add_coupling_flags(p)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--beta", type=float, required=True, help="inverse temperature 1/T")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p, formats=())
@@ -391,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="entanglement measures of one Gibbs state")
     _add_coupling_flags(p)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--beta", type=float, required=True, help="inverse temperature 1/T")
     p.add_argument("--fields", help="6 reals: h1x,h1y,h1z,h2x,h2y,h2z")
     p.add_argument("--field-z", type=float, help="opposed z fields (0,0,h),(0,0,-h)")
     _add_output_flags(p, formats=())
@@ -402,19 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # UsageError and every input error of the library are ValueErrors;
+    # AsymptoteDomainError is one too, so the solver failures come first.
     try:
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NumericalFailure, AsymptoteDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -159,7 +159,10 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
 
     if stationarity(u_max) >= 0.0:
         raise failure("no field bracket")
-    u_op, _ = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
+    try:
+        u_op, _ = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
+    except ValueError as exc:  # a NaN stationarity value
+        raise failure(f"field root search failed ({exc})") from None
     if u_op is None:
         raise failure("field root did not converge")
     h_op = s * u_op
@@ -204,7 +207,10 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
         raise failure(f"boundary scan starts past the sign change at beta s = {bottom:.17g}")
     if g(hi) > 0.0:
         raise failure(f"no boundary sign change up to beta s = {top:.17g}")
-    y, _ = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
+    try:
+        y, _ = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
+    except ValueError as exc:  # a NaN stationarity value
+        raise failure(f"boundary root search failed ({exc})") from None
     if y is None:
         raise failure("boundary root did not converge")
     return s / math.exp(y)

@@ -48,15 +48,18 @@ def build_hamiltonian(j, h1=(0.0, 0.0, 0.0), h2=(0.0, 0.0, 0.0)) -> np.ndarray:
 
     Basis ordering is |00>, |01>, |10>, |11> with sigma^z |0> = +|0>. A
     length-3 coupling is treated as the diagonal (Jx, Jy, Jz); each field must
-    be a finite 3-vector.
+    be a finite 3-vector, and the magnitudes of all 15 coefficients must have a
+    finite sum, which bounds every entry of H.
     """
     j = _as_coupling_matrix(j)
     h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
     if h1.shape != (3,) or h2.shape != (3,):
         raise ValueError(f"fields must be 3-vectors, got shapes {h1.shape} and {h2.shape}")
     coeffs = np.concatenate((j.ravel(), h1, h2))
-    if not all(map(math.isfinite, coeffs[9:].tolist())):
-        raise ValueError("field has non-finite entries")
+    # NaN or inf for a non-finite field, and inf when an entry of H could overflow
+    total = sum(map(abs, coeffs.tolist()))
+    if not math.isfinite(total):
+        raise ValueError(f"field has non-finite entries or H overflows: sum |coeffs| = {total}")
     return (coeffs @ PAULI_BASIS).reshape(4, 4)
 
 
@@ -82,11 +85,11 @@ class CanonicalCoupling:
     def __post_init__(self):
         # Python floats: numpy scalars would tax every step of the scalar solvers
         self.jx, self.jy, self.jz = d = (float(self.jx), float(self.jy), float(self.jz))
-        if not (all(map(math.isfinite, d)) and is_canonical_diagonal(*d)):
-            raise ValueError(
-                f"({self.jx}, {self.jy}, {self.jz}) is not a finite canonical diagonal "
-                "coupling; run canonicalize() first"
-            )
+        # NaN or inf components fail this too
+        if not math.isfinite(self.norm):
+            raise ValueError(f"coupling {d} has no finite norm |jx| + |jy| + |jz|")
+        if not is_canonical_diagonal(*d):
+            raise ValueError(f"{d} is not a canonical diagonal coupling; run canonicalize() first")
 
     @property
     def diagonal(self) -> np.ndarray:

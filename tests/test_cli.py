@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,18 +196,17 @@ def test_measure_matches_identity(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
+    # each is rejected by the one rule that owns it, in the CLI or in the library
     cases = [
         ["boundary"],  # no coupling
         ["boundary", "--diag", "1,2"],  # wrong arity
         ["boundary", "--diag", "1,2,nan"],  # non-finite
         ["boundary", "--diag", "1,x,2"],  # unparseable
         ["boundary", "--coupling", "1,0,0,0,1,0,0,0,1", "--diag", "1,1,1"],
-        ["measure", "--diag", "1,1,1", "--temperature", "0"],
+        ["measure", "--diag", "1,1,1", "--beta", "inf"],  # T = 0
         ["optimize", "--diag", "1,1,1", "--t-min", "0"],
         ["phase-diagram", "--class", "afm", "--grid-step", "0"],
         ["phase-diagram", "--class", "afm", "--grid-min", "3", "--grid-max", "2"],
-        ["measure", "--diag", "1,1,1"],  # neither temperature nor beta
-        ["measure", "--diag", "1,1,1", "--beta", "1", "--temperature", "2"],
         ["measure", "--diag", "1,1,1", "--beta", "-1"],
         ["optimize", "--diag", "1,1,1", "--t-min", "1", "--t-max", "2", "--t-points", "0"],
         ["optimize", "--diag", "1,1,1", "--t-min", "2", "--t-max", "1"],
@@ -215,23 +215,49 @@ def test_usage_errors_exit_2(capsys):
         ["verify-hypothesis", "--diag", "1,1,1", "--beta", "1", "--restarts", "0"],
         ["verify-hypothesis", "--diag", "1,1,1", "--beta", "1", "--seed", "-1"],
         ["measure", "--diag", "1,1,1", "--beta", "1e400"],  # overflows to inf
-        ["measure", "--diag", "1,1,1", "--temperature", "nan"],
-        ["measure", "--diag", "1,1,1", "--temperature", "1e-320"],  # 1/T overflows
+        ["measure", "--diag", "1,1,1", "--beta", "nan"],
+        ["measure", "--diag", "1,1,1", "--beta", "1e320"],  # 1/T at T = 1e-320 overflows
         ["optimize", "--diag", "1,1,1", "--t-max", "inf"],
         ["asymptote-compare", "--diag", "1,1,1", "--t-max", "nan"],
         ["phase-diagram", "--class", "afm", "--grid-max", "inf"],
         ["phase-diagram", "--class", "afm", "--grid-step", "1e-300"],  # too many grid values
+        # inputs the CLI passes on for the library to reject
+        ["measure", "--diag", "1e308,1e308,1e308", "--beta", "1"],  # H overflows
+        ["measure", "--diag", "1,1,1", "--beta", "1", "--field-z", "1e308"],
+        ["optimize", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1", "--t-points", "2"],
+        ["asymptote-compare", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1",
+         "--t-points", "2"],
+        ["verify-hypothesis", "--diag", "1e308,1e308,1e308", "--beta", "1", "--restarts", "1"],
+        ["canonicalize", "--coupling", "1e308,1e308,0,0,1,0,0,0,1"],
+        ["boundary", "--diag", "1e308,1e308,1e308"],  # the norm overflows
+        ["boundary", "--diag=1e308,-1e308,1e308"],  # the same after canonicalization
+        ["phase-diagram", "--class", "afm", "--grid-max", "nan"],
+        ["phase-diagram", "--class", "afm", "--grid-min", "inf", "--grid-max", "inf"],
+        ["phase-diagram", "--class", "afm", "--grid-step", "inf"],
     ]
     for argv in cases:
         code = cli.main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2, argv
+        assert err.startswith("error: "), argv
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["boundary", "--no-such-flag"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    cases = [
+        (["boundary", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["measure", "--diag", "1,1,1"], "required: --beta"),
+        (["verify-hypothesis", "--diag", "1,1,1"], "required: --beta"),
+        # --temperature is gone: --beta is the one inverse-temperature flag
+        (["measure", "--diag", "1,1,1", "--temperature", "0"], "required: --beta"),
+        (["measure", "--diag", "1,1,1", "--beta", "1", "--temperature", "2"],
+         "unrecognized arguments: --temperature 2"),
+        (["verify-hypothesis", "--diag", "1,1,1", "--temperature", "1"], "required: --beta"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):
@@ -243,6 +269,57 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "bracket exhausted" in err
+    # beta J overflows, and the stationarity the root finder sees is NaN
+    cases = [
+        ["optimize", "--diag=1e308,1e-300,1e-320", "--t-min", "1e-300", "--t-max", "1",
+         "--t-points", "2"],
+        ["asymptote-compare", "--diag=1e300,1e300,0.5", "--t-min", "1", "--t-max", "1e308",
+         "--t-points", "2"],
+    ]
+    for argv in cases:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert err.startswith("numerical failure: field root search failed"), argv
+
+
+# Zero, signs, NaN and the infinities, subnormals and the edges of the float range
+EXTREME_VALUES = ["0", "-1", "1", "0.5", "3", "nan", "inf", "-inf", "1e-320", "5e-324", "1e-300",
+                  "1e300", "1e308", "-1e308"]
+# Every float flag of every command, after the flags that keep each call short;
+# each --diag entry is drawn too
+EXTREME_COMMANDS = [
+    (["canonicalize"], []),
+    (["boundary"], []),
+    (["optimize", "--t-points=2"], ["--t-min", "--t-max"]),
+    (["asymptote-compare", "--t-points=2"], ["--t-min", "--t-max"]),
+    (["verify-hypothesis", "--restarts=1"], ["--beta"]),
+    (["measure"], ["--beta", "--field-z"]),
+    (["phase-diagram"], ["--grid-min", "--grid-max", "--grid-step"]),
+]
+
+
+def test_extreme_values_exit_0_2_or_3(capsys):
+    """Any input ends in a result, a usage error or a numerical failure, never a traceback.
+
+    The console script runs under Python's default warning filters, where numpy's
+    overflow RuntimeWarnings are printed and the command goes on; so does this sweep.
+    """
+    rng = np.random.default_rng(0)
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        for _ in range(60):
+            for fixed, flags in EXTREME_COMMANDS:
+                argv = fixed + [f"{flag}={rng.choice(EXTREME_VALUES)}" for flag in flags]
+                if fixed[0] == "phase-diagram":
+                    argv.append(f"--class={rng.choice(['afm', 'fm'])}")
+                else:
+                    argv.append("--diag=" + ",".join(rng.choice(EXTREME_VALUES, size=3)))
+                codes.append(cli.main(argv))
+                assert codes[-1] in (0, 2, 3), argv
+                capsys.readouterr()
+    assert set(codes) == {0, 2, 3}
 
 
 def test_console_entry_point_subprocess():

@@ -73,7 +73,11 @@ def test_require_hermitian_rejects_non_finite_entries(entry):
     m[1, 2] = entry
     with pytest.raises(NonHermitianError) as info:
         require_hermitian(m)
-    assert str(info.value) == "matrix has non-finite entries"
+    message = (
+        "matrix has non-finite entries or entries that overflow M + M^dagger "
+        f"(largest modulus {abs(entry):.3e})"
+    )
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2), (1, 4)])

@@ -492,6 +492,23 @@ def test_solvers_raise_when_brent_does_not_converge(monkeypatch):
     assert "with s = 1, on beta s in [0.001, 1000]" in message
 
 
+def test_solvers_report_a_nan_stationarity_as_numerical_failure(monkeypatch):
+    # beta J overflows, so the stationarity is inf * 0 at h = 0; brentq's
+    # ValueError on the NaN reaches the caller as the solver's own failure
+    c = CanonicalCoupling(1e308, 1e-300, 1e-320)
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(c, 1e300)
+    message = str(exc.value)
+    assert "field root search failed (The function value at x=0.0 is NaN" in message
+    assert "(1e+308, 1e-300, 9.9998886718268301e-321) at beta = 1.0000000000000001e+300" in message
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: math.nan)
+    with pytest.raises(NumericalFailure) as exc:
+        boundary_temperature(FIG3)
+    message = str(exc.value)
+    assert "boundary root search failed (The function value at x=" in message
+    assert "with s = 1, on beta s in [0.001, 1000]" in message
+
+
 def test_phase_diagram_grid_and_symmetries():
     points = phase_diagram([1.0, 5.0], [1.0, 5.0], "afm")
     by_ratio = {(p.jx_over_abs_jz, p.jy_over_abs_jz): p.t_c for p in points}

@@ -49,6 +49,14 @@ def test_build_zero():
     for h1, h2 in [((0, np.inf, 0), (0, 0, 0)), ((0, 0, 0), (np.nan, 0, 0))]:
         with pytest.raises(ValueError, match="field has non-finite"):
             build_hamiltonian(np.eye(3), h1, h2)
+    # finite coefficients whose magnitudes sum past the float range could
+    # overflow an entry of H, and are rejected before it is assembled
+    for j, h1, h2 in [(np.full(3, 1e308), (0, 0, 0), (0, 0, 0)),
+                      (np.eye(3), (0, 0, 1e308), (0, 0, -1e308))]:
+        with pytest.raises(ValueError) as info:
+            build_hamiltonian(j, h1, h2)
+        assert str(info.value) == "field has non-finite entries or H overflows: sum |coeffs| = inf"
+    assert build_hamiltonian(np.eye(3), (0, 0, 8e307), (0, 0, -8e307))[1, 1] == 1.6e308 - 1.0
 
 
 def test_build_isotropic_spectrum():
@@ -252,6 +260,10 @@ def test_from_diagonal_validation():
         CanonicalCoupling(1 / 6, 1 / 3, 1 / 2)  # |jz| not minimal
     with pytest.raises(ValueError, match="finite"):
         CanonicalCoupling(np.inf, np.inf, np.inf)
+    # finite components whose norm |jx| + |jy| + |jz| overflows
+    with pytest.raises(ValueError) as info:
+        CanonicalCoupling(1e308, 1e308, 1e308)
+    assert str(info.value) == "coupling (1e+308, 1e+308, 1e+308) has no finite norm |jx| + |jy| + |jz|"
     # the test is exact, so tiny couplings are checked too
     with pytest.raises(ValueError, match="canonical"):
         CanonicalCoupling(1e-13, 1e-13, -5e-13)
