@@ -109,8 +109,14 @@ def _fmt(value) -> str:
 
 
 def _dumps(value, **kwargs) -> str:
-    # numpy arrays and scalars reach `default`; tolist() makes either plain Python
-    return json.dumps(value, sort_keys=True, default=lambda v: v.tolist(), **kwargs)
+    # numpy arrays and scalars reach `default`; tolist() makes either plain Python.
+    # Strict JSON: a NaN or an infinity in a record is a lost result.
+    try:
+        return json.dumps(
+            value, sort_keys=True, allow_nan=False, default=lambda v: v.tolist(), **kwargs
+        )
+    except ValueError as exc:
+        raise NumericalFailure(f"a result is not finite ({exc})") from None
 
 
 def _config_hash(config: dict) -> str:
@@ -382,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # UsageError and every input error of the library are ValueErrors;
-    # AsymptoteDomainError is one too, so the solver failures come first.
+    # UsageError and every input error of the library are ValueErrors; so are
+    # AsymptoteDomainError and LAPACK's LinAlgError, so solver failures come first.
     try:
         args.func(args)
-    except (NumericalFailure, AsymptoteDomainError) as exc:
+    except (NumericalFailure, AsymptoteDomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

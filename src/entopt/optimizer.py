@@ -122,11 +122,12 @@ def minimize(fun, x0, **options):
 def _unit(c: CanonicalCoupling) -> float:
     """The power of two nearest |jx| + |jy| + |jz|, the spectral norm of a canonical coupling.
 
-    N~ depends on the coupling, the field and beta only through beta*J and
-    beta*h, so the solvers work in these units; scaling by a power of two is
-    exact.
+    The exponent is capped at 1023, the largest finite power of two. N~
+    depends on the coupling, the field and beta only through beta*J and
+    beta*h, so the solvers work on the coupling / s at beta s; scaling by a
+    power of two is exact.
     """
-    return 2.0 ** round(math.log2(c.norm))
+    return 2.0 ** min(round(math.log2(c.norm)), 1023)
 
 
 def _failure(what: str, c: CanonicalCoupling, where: str) -> NumericalFailure:
@@ -284,11 +285,17 @@ def d2n_op_dt2_jump(c: CanonicalCoupling, t_c: float) -> float:
     """d^2N_op/dT^2 just above the boundary temperature t_c > 0 minus just below.
 
     Both phases meet at J = |jx + jy|, where N_J = 0, so the jump is the
-    implicit-function term of the high_t phase alone: beta_c^4 N_bJ^2/|N_JJ|.
+    implicit-function term of the high_t phase alone: beta_c^4 N_bJ^2/|N_JJ|, which
+    is positive; NumericalFailure when floats lose it in units of s (see _unit).
     """
-    beta = 1.0 / t_c
-    _, _, jn_bj, j2n_jj = _negativity_derivatives(c, 0.0, beta)
-    return beta * (beta * (beta * (beta * jn_bj * jn_bj))) / abs(j2n_jj)
+    s = _unit(c)
+    unit_c = CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s)
+    beta = s / t_c  # on the coupling / s, where the jump is s^2 times the one asked for
+    _, _, jn_bj, j2n_jj = _negativity_derivatives(unit_c, 0.0, beta)
+    jump = beta * (beta * (beta * (beta * jn_bj * jn_bj))) / abs(j2n_jj)
+    if not 0.0 < jump < math.inf:  # in units of s the true jump is also in range
+        raise _failure(f"d2N_op/dT2 jump unresolved ({jump})", c, f"at t_c = {t_c:.17g}")
+    return jump / s / s
 
 
 def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:
@@ -302,14 +309,15 @@ def phase_diagram(xs, ys, sign_class: str) -> list[PhasePoint]:
         raise ValueError(f"sign_class must be 'afm' or 'fm', got {sign_class!r}")
     sign = 1.0 if sign_class == "afm" else -1.0
     points = []
-    for x in xs:
-        for y in ys:
-            if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):
-                raise ValueError(f"grid ratios must be finite and >= 1, got ({x}, {y})")
+    for x in map(float, xs):
+        for y in map(float, ys):
+            # on Python floats, so a sum that overflows is inf without a warning
+            if not (1.0 <= x and 1.0 <= y and x + y < math.inf):
+                raise ValueError(f"grid ratios must be >= 1 with a finite sum, got ({x}, {y})")
             # |jx| + |jy| + |jz| is the spectral norm of a one-sign diagonal
             d = sign * np.array([x, y, 1.0]) / (x + y + 1.0)
             c = CanonicalCoupling(d[0], d[1], d[2])
-            points.append(PhasePoint(float(x), float(y), boundary_temperature(c)))
+            points.append(PhasePoint(x, y, boundary_temperature(c)))
     return points
 
 
@@ -335,8 +343,8 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     The six field components are searched by L-BFGS-B (finite-difference
     gradient, scipy's default options) from the constrained optimum, from
     zero field and from `restarts` uniform draws in a box of half-width 5, in
-    units where the spectral norm of H_int is 1 (shrunk by 1/beta when beta
-    exceeds 1 in those units). Values are compared rather than raw
+    units of the coupling's scale s (see _unit; shrunk by 1/(beta s) when
+    beta s exceeds 1). Values are compared rather than raw
     parameters: local rotations from canonicalization change the optimal
     field's direction but not the achievable negativity. best_params are
     reported in the caller's original units; failed_restarts counts runs that
@@ -347,16 +355,13 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     beta = _validate_beta(beta)
     j = np.asarray(j, dtype=float)
     c = canonicalize(j)
-    scale = c.norm
-    if scale == 0.0:
+    if c.norm == 0.0:
         zero = np.zeros(6)
         return Hypothesis1Report(0.0, 0.0, zero, 0.0, restarts, 0, True)
-    jn = j / scale
-    beta_n = beta * scale
-    c = CanonicalCoupling(c.jx / scale, c.jy / scale, c.jz / scale, c.r1, c.r2)
-    result = optimal_field(c, beta_n)
+    s = _unit(c)
+    result = optimal_field(CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s), beta * s)
     constrained = result.n_op
-    objective = _make_search_objective(jn, beta_n)
+    objective = _make_search_objective(j / s, beta * s)
 
     # The constrained optimum mapped back to the unrotated frame, plus zero
     # fields, always seed the search; random restarts fill the rest.
@@ -364,7 +369,7 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
         np.concatenate((c.r1.T @ [0.0, 0.0, result.h_op], c.r2.T @ [0.0, 0.0, -result.h_op])),
         np.zeros(6),
     ]
-    box = 5.0 / max(1.0, beta_n)
+    box = 5.0 / max(1.0, beta * s)
     rng = np.random.default_rng(seed)
     starts = seeded + [rng.uniform(-box, box, size=6) for _ in range(restarts)]
 
@@ -378,11 +383,13 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
         if -res.fun > best_value:
             best_value = -res.fun
             best_params = res.x
+    if not float(np.abs(best_params).max()) * s < math.inf:
+        raise _failure("best fields overflow in input units", c, f"at beta = {beta:.17g}")
     gap = float(best_value - constrained)
     return Hypothesis1Report(
         constrained_best=float(constrained),
         unconstrained_best=float(best_value),
-        best_params=np.asarray(best_params, dtype=float) * scale,
+        best_params=np.asarray(best_params, dtype=float) * s,
         gap=gap,
         restarts=restarts,
         failed_restarts=failed,

@@ -19,7 +19,9 @@ def _validate_beta(beta: float) -> float:
 def _gibbs(h, beta: float):
     """gibbs_state without checks, for an exactly Hermitian h and a valid beta."""
     values, vectors = _eigh(h)
-    weights = np.exp(-beta * (values - values[0]))
+    # Python floats: a level gap or beta times it that overflows is inf, with weight 0
+    e0 = float(values[0])
+    weights = np.exp([-beta * (e - e0) for e in values.tolist()])
     z = float(weights.sum())
     return (vectors * (weights / z)) @ vectors.conj().T, z
 

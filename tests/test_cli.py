@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +282,26 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
         assert err.startswith("numerical failure: field root search failed"), argv
 
 
+def test_lapack_failure_exits_3(monkeypatch, capsys):
+    # LinAlgError is a ValueError, but a solver failure, not a usage error
+    def no_convergence(m, vectors=True):
+        raise np.linalg.LinAlgError("zheevd did not converge")
+
+    monkeypatch.setattr("entopt.thermal._eigh", no_convergence)
+    code = cli.main(["measure", "--diag", FIG3_README, "--beta", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: zheevd did not converge\n"
+
+
+def test_non_finite_record_exits_3(capsys):
+    # the jump of this coupling overflows in input units: strict JSON has no Infinity
+    code = cli.main(["boundary", "--diag=1e-300,1e-300,1e-320"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: a result is not finite")
+
+
 # Zero, signs, NaN and the infinities, subnormals and the edges of the float range
 EXTREME_VALUES = ["0", "-1", "1", "0.5", "3", "nan", "inf", "-inf", "1e-320", "5e-324", "1e-300",
                   "1e300", "1e308", "-1e308"]
@@ -299,26 +318,40 @@ EXTREME_COMMANDS = [
 ]
 
 
-def test_extreme_values_exit_0_2_or_3(capsys):
-    """Any input ends in a result, a usage error or a numerical failure, never a traceback.
+# Inputs where an overflow can end in a traceback, a numpy warning, or a NaN
+# or an infinity in an exit-0 record, with the exit codes they may give
+EXTREME_CASES = [
+    (["boundary", "--diag=1e308,5e307,1e307"], {0}),  # 2 ** round(log2 norm) overflows
+    (["boundary", "--diag=1e300,1,0.5"], {0, 3}),  # the jump is NaN on the raw coupling
+    (["verify-hypothesis", "--diag=0.5,0,-1e308", "--beta=5e-324", "--restarts=1"], {3}),
+    (["phase-diagram", "--class=afm", "--grid-min=1e308", "--grid-max=1e308",
+      "--grid-step=1"], {2}),
+    (["measure", "--diag=3,1e-320,1e300", "--beta=1e308", "--field-z=5e-324"], {0}),
+]
 
-    The console script runs under Python's default warning filters, where numpy's
-    overflow RuntimeWarnings are printed and the command goes on; so does this sweep.
-    """
+
+def test_extreme_values_exit_0_2_or_3(capsys):
+    """Any input ends in a result, a usage error or a numerical failure, never a traceback,
+    a warning, or a NaN or an infinity in a record."""
+
+    def check(argv, allowed):
+        code, out = run_cli(capsys, *argv)
+        assert code in allowed, argv
+        assert not (code == 0 and ("NaN" in out or "Infinity" in out)), argv
+        return code
+
+    for argv, allowed in EXTREME_CASES:
+        check(argv, allowed)
     rng = np.random.default_rng(0)
     codes = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("default", RuntimeWarning)
-        for _ in range(60):
-            for fixed, flags in EXTREME_COMMANDS:
-                argv = fixed + [f"{flag}={rng.choice(EXTREME_VALUES)}" for flag in flags]
-                if fixed[0] == "phase-diagram":
-                    argv.append(f"--class={rng.choice(['afm', 'fm'])}")
-                else:
-                    argv.append("--diag=" + ",".join(rng.choice(EXTREME_VALUES, size=3)))
-                codes.append(cli.main(argv))
-                assert codes[-1] in (0, 2, 3), argv
-                capsys.readouterr()
+    for _ in range(60):
+        for fixed, flags in EXTREME_COMMANDS:
+            argv = fixed + [f"{flag}={rng.choice(EXTREME_VALUES)}" for flag in flags]
+            if fixed[0] == "phase-diagram":
+                argv.append(f"--class={rng.choice(['afm', 'fm'])}")
+            else:
+                argv.append("--diag=" + ",".join(rng.choice(EXTREME_VALUES, size=3)))
+            codes.append(check(argv, (0, 2, 3)))
     assert set(codes) == {0, 2, 3}
 
 

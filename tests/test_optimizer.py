@@ -667,6 +667,32 @@ def test_d2n_op_dt2_jump_matches_one_sided_differences():
         assert d2n_op_dt2_jump(c, t_c) == pytest.approx(ref, rel=2e-3)
 
 
+def test_unit_is_capped_at_the_largest_power_of_two():
+    # round(log2(1.5e308)) is 1024, and 2.0 ** 1024 overflows
+    assert optimizer._unit(CanonicalCoupling(1.5e308, 0.0, 0.0)) == 2.0**1023
+
+
+def test_d2n_op_dt2_jump_scales_by_powers_of_two_exactly():
+    # on the raw coupling, products of its levels with beta J overflow to a NaN
+    # jump; in units of s it is the jump of the coupling scaled by 2^-k, over 4^k
+    c = CanonicalCoupling(1e305, 1e300, 1e300)
+    k = 1000
+    small = CanonicalCoupling(*(math.ldexp(v, -k) for v in c.diagonal))
+    t_c = boundary_temperature(c)
+    assert boundary_temperature(small) == math.ldexp(t_c, -k)
+    jump_small = d2n_op_dt2_jump(small, math.ldexp(t_c, -k))
+    assert 0.0 < jump_small < math.inf
+    assert d2n_op_dt2_jump(c, t_c) == math.ldexp(jump_small, -2 * k)
+
+
+def test_d2n_op_dt2_jump_raises_when_unresolved():
+    # at a relative level gap of 1e-9 J N_bJ cancels to 0 in floats, while an
+    # 80-digit mpmath reference gives jump * T_c^2 = 6.5e-8
+    c = CanonicalCoupling(1.0, 1e-9, 5e-10)
+    with pytest.raises(NumericalFailure, match=r"jump unresolved .* at t_c = 1\.278"):
+        d2n_op_dt2_jump(c, boundary_temperature(c))
+
+
 def test_no_singularity_at_enhancement_maximum():
     # the optimized negativity's second derivative jumps at T_c but stays
     # continuous (to stencil truncation) where the enhancement peaks
