@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, svd
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, svd, svd_f
 
 # Shared tolerances; solvers and tests must agree on these.
 HERMITICITY_RTOL = 1e-12
@@ -19,7 +19,9 @@ class NonHermitianError(ValueError):
 
 
 def require_hermitian(m) -> np.ndarray:
-    """M made exactly Hermitian, (M + M^dagger)/2, after checking it within HERMITICITY_RTOL."""
+    """M made exactly Hermitian, (M + M^dagger)/2, after checking it within HERMITICITY_RTOL.
+
+    The result may be M itself: an exactly Hermitian complex M is returned as it is."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
@@ -31,6 +33,8 @@ def require_hermitian(m) -> np.ndarray:
             "matrix has non-finite entries or entries that overflow M + M^dagger "
             f"(largest modulus {scale:.3e})"
         )
+    if not np.count_nonzero(m != mh):
+        return m
     defect = float(np.abs(m - mh).max())
     if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
@@ -63,6 +67,14 @@ def _svdvals(m) -> np.ndarray:
     if math.isnan(s[0]):
         raise np.linalg.LinAlgError("zgesdd did not converge")
     return s
+
+
+def _svd(m):
+    """numpy.linalg.svd(m) of a real matrix: its dgesdd gufunc, without the wrapper."""
+    u, s, vh = svd_f(m, signature="d->ddd")
+    if math.isnan(s[0]):
+        raise np.linalg.LinAlgError("dgesdd did not converge")
+    return u, s, vh
 
 
 def hermitian_eigen(m):

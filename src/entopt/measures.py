@@ -8,15 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PSD_EIGENVALUE_FLOOR, _eigh, _svdvals, hermitian_eigen, require_hermitian
-from .spin_model import SIGMA_Y
 
-_SYSY = np.kron(SIGMA_Y, SIGMA_Y)
+# X*[::-1, ::-1] * _FLIP_SIGN is sigma_y x sigma_y X* sigma_y x sigma_y
+_FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# Flat index of each entry of rho^T1 in rho
+_PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the first qubit's indices; involutive and trace preserving."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.ascontiguousarray(r.transpose(2, 1, 0, 3)).reshape(4, 4)
+    return np.asarray(rho, dtype=complex).take(_PT_INDEX)
 
 
 def _pt_spectrum(rho) -> np.ndarray:
@@ -29,10 +30,11 @@ def _negativity(lam_min: float) -> float:
 
 
 def _pi(pt_values) -> float:
-    # det rho^T1 is the product of its eigenvalues
-    if pt_values[0] >= PSD_EIGENVALUE_FLOOR:
+    a, b, c, d = pt_values.tolist()
+    if a >= PSD_EIGENVALUE_FLOOR:
         return 0.0
-    return 2.0 * abs(float(np.prod(pt_values))) ** 0.25
+    # det rho^T1 is the product of its eigenvalues
+    return 2.0 * abs(a * b * c * d) ** 0.25
 
 
 def min_pt_eigenvalue(rho) -> float:
@@ -59,7 +61,7 @@ def concurrence(rho) -> float:
     values, vectors = hermitian_eigen(rho)
     s = np.sqrt(np.maximum(values, 0.0))  # roundoff can leave tiny negatives
     sqrt_rho = (vectors * s) @ vectors.conj().T
-    m = _SYSY @ sqrt_rho.conj() @ _SYSY @ sqrt_rho
+    m = (sqrt_rho.conj()[::-1, ::-1] * _FLIP_SIGN) @ sqrt_rho
     r0, r1, r2, r3 = _svdvals(m).tolist()
     return max(0.0, r0 - r1 - r2 - r3)
 

@@ -198,7 +198,9 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     def g(y):
         return _stationarity_scaled(unit_c, 0.0, math.exp(y))
 
-    bottom, top = 1e-3, min(1e3 * s / c.gaps[1], 1e308)
+    # 1e3 s / gap overflows near the float maximum; a unit gap of 0 puts the top past 1e308
+    gap = unit_c.gaps[1]
+    bottom, top = 1e-3, (min(1e3 / gap, 1e308) if gap > 0.0 else 1e308)
     lo, hi = math.log(bottom), math.log(top)
 
     def failure(what):  # the window in beta s: beta itself can overflow when s is small

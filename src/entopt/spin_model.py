@@ -8,6 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import _svd
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -21,12 +23,16 @@ PAULI_BASIS = np.array(
     + [np.kron(s, IDENTITY_2).ravel() for s in PAULI]
     + [np.kron(IDENTITY_2, s).ravel() for s in PAULI]
 )
+# Spin 1 rotated by pi about z; the x and y axes swapped (det +1 via the z sign flip)
+_PI_Z = np.diag([-1.0, -1.0, 1.0])
+_SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
 
 
 def _as_coupling_matrix(j) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     if j.shape == (3,):
-        j = np.diag(j)
+        d, j = j, np.zeros((3, 3))
+        j.flat[::4] = d  # np.diag(d) without its wrapper
     if j.shape != (3, 3):
         raise ValueError(f"coupling must be a 3x3 matrix or a 3-vector, got shape {j.shape}")
     if not all(map(math.isfinite, j.ravel().tolist())):
@@ -127,35 +133,28 @@ def canonicalize(j) -> CanonicalCoupling:
     """
     j = _as_coupling_matrix(j)
     # r1 @ J @ r2.T = diag(d) with r1 = U^T, r2 = Vh and d sorted descending
-    u, d, r2 = np.linalg.svd(j)
+    u, d, r2 = _svd(j)
     r1 = u.T.copy()
     # Values within the SVD's rounding (64 eps) of 0 or of each other become equal,
     # so that a rotated degenerate level keeps its exact zero gap (CanonicalCoupling.gaps).
-    x, tol = d.tolist(), 2.0**-46 * d[0]
+    d, tol = d.tolist(), 2.0**-46 * d[0]
     for i in (1, 2):
-        x[i] = x[i - 1] if x[i - 1] - x[i] <= tol else x[i] if x[i] > tol else 0.0
-    d = np.array(x)
+        d[i] = d[i - 1] if d[i - 1] - d[i] <= tol else d[i] if d[i] > tol else 0.0
     # Inversions cannot be realized by spin rotations; trade them for a sign
     # on the smallest singular value.
     if _det3(r1) < 0:
         r1[2, :] *= -1.0
-        d[2] *= -1.0
+        d[2] = -d[2]
     if _det3(r2) < 0:
         r2[2, :] *= -1.0
-        d[2] *= -1.0
+        d[2] = -d[2]
     # d[2] now carries the sign of det J. Deciding the class on it, not on a
     # separately rounded det J, keeps near-singular couplings canonical.
     if d[2] < 0:
-        # Rotate spin 1 by pi about z: flips the x and y couplings.
-        r1 = np.diag([-1.0, -1.0, 1.0]) @ r1
-        d[0] *= -1.0
-        d[1] *= -1.0
-        # Swap the x and y axes on both spins (det +1 via the z sign flip)
-        # so that |jz| stays minimal and jx >= jy.
-        swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        r1 = swap @ r1
-        r2 = swap @ r2
-        d = np.array([d[1], d[0], d[2]])
+        # Rotate spin 1 by pi about z, which flips the x and y couplings, then swap
+        # the x and y axes on both spins so that |jz| stays minimal and jx >= jy.
+        r1, r2 = _SWAP_XY @ (_PI_Z @ r1), _SWAP_XY @ r2
+        d = (-d[1], -d[0], d[2])
     else:
-        d = np.abs(d)  # det J = 0 may leave a -0.0 in the z slot
-    return CanonicalCoupling(float(d[0]), float(d[1]), float(d[2]), r1, r2)
+        d = map(abs, d)  # det J = 0 may leave a -0.0 in the z slot
+    return CanonicalCoupling(*d, r1, r2)

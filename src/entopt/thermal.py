@@ -40,4 +40,4 @@ def gibbs_state(h, beta: float):
 def purity(rho) -> float:
     """tr(rho^2), between 1/4 (maximally mixed) and 1 (pure)."""
     rho = np.asarray(rho)
-    return float(np.real(np.trace(rho @ rho)))
+    return float((rho @ rho).trace().real)

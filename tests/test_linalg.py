@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from conftest import random_hermitian
 
+from entopt import linalg
 from entopt.linalg import (
     NonHermitianError,
     _eigh,
+    _svd,
     _svdvals,
     hermitian_eigen,
     require_hermitian,
 )
-from entopt.spin_model import IDENTITY_2, SIGMA_Z
+from entopt.spin_model import IDENTITY_2, SIGMA_Z, canonicalize
 
 
 def hermiticity_defect(m) -> float:
@@ -63,6 +65,24 @@ def test_require_hermitian_returns_the_exact_symmetrization():
     real = rng.normal(size=(4, 4))
     real = real + real.T
     assert np.array_equal(require_hermitian(real), (real + real.T) / 2.0 + 0j)
+
+
+def test_require_hermitian_returns_exact_input_itself():
+    rng = np.random.default_rng(15)
+    m = random_hermitian(rng)
+    assert np.array_equal(m, m.conj().T)
+    assert require_hermitian(m) is m
+    # a real matrix is converted, so it comes back as a complex copy
+    real = rng.normal(size=(4, 4))
+    real = real + real.T
+    out = require_hermitian(real)
+    assert out is not real and out.dtype == complex
+    assert np.array_equal(out, real)
+    # -0.0 == +0.0: a diagonal with -0.0 imaginary parts is exact, and kept as given
+    m = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
+    m.imag[np.diag_indices(4)] = -0.0
+    assert require_hermitian(m) is m
+    assert np.signbit(m.diagonal().imag).all()
 
 
 @pytest.mark.parametrize(
@@ -128,9 +148,55 @@ def test_svdvals_matches_numpy_bit_for_bit():
         assert np.array_equal(_eigh(m, vectors=False)[0], np.linalg.eigvalsh(m))
 
 
-def test_lapack_seam_raises_on_failure():
+def seeded_couplings(rng, n):
+    """n real 3x3 couplings at scales 1e-8 to 1e8: generic, rank 2, rank 1, zero,
+    with two or three equal singular values, and signed permutation matrices."""
+    out = [np.zeros((3, 3)), np.eye(3), -np.eye(3), np.diag([1.0, 1.0, 0.0])]
+    while len(out) < n:
+        q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        a, b = rng.uniform(0.05, 1.0, size=2)
+        kind = len(out) % 6
+        if kind == 0:
+            j = rng.normal(size=(3, 3))
+        elif kind == 1:
+            j = q1 @ np.diag([a, b, 0.0]) @ q2
+        elif kind == 2:
+            j = np.outer(rng.normal(size=3), rng.normal(size=3))
+        elif kind == 3:
+            j = q1 @ np.diag([a, b, b]) @ q2
+        elif kind == 4:
+            j = a * q1 @ q2
+        else:
+            j = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3) * [a, b, a]
+        out.append(10.0 ** rng.uniform(-8.0, 8.0) * j)
+    return out
+
+
+def test_real_svd_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for j in seeded_couplings(rng, 1200):
+        u, s, vh = _svd(j)
+        expected = np.linalg.svd(j)
+        assert np.array_equal(u, expected.U)
+        assert np.array_equal(s, expected.S)
+        assert np.array_equal(vh, expected.Vh)
+
+
+def test_lapack_seam_raises_on_failure(monkeypatch):
     m = np.full((4, 4), np.nan, dtype=complex)
     with np.errstate(invalid="ignore"):
         for solve in (_eigh, lambda m: _eigh(m, vectors=False), _svdvals):
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 solve(m)
+        with pytest.raises(np.linalg.LinAlgError, match="dgesdd did not converge"):
+            _svd(m.real)
+
+    # canonicalize rejects non-finite couplings itself, so a failing dgesdd is
+    # stood in for by one that returns NaN, as numpy's gufunc does on failure
+    def failing_svd(j, signature):
+        nan = np.full((3, 3), np.nan)
+        return nan, nan[0], nan
+
+    monkeypatch.setattr(linalg, "svd_f", failing_svd)
+    with pytest.raises(np.linalg.LinAlgError, match="dgesdd did not converge"):
+        canonicalize(np.eye(3))

@@ -4,7 +4,10 @@ from conftest import random_canonical, random_density_matrix, random_hermitian
 
 from entopt.asymptotics import high_t_hop_exact
 from entopt.closed_form import negativity_tilde
+from entopt.linalg import hermitian_eigen
 from entopt.measures import (
+    _pi,
+    _pt_spectrum,
     concurrence,
     entanglement_report,
     min_pt_eigenvalue,
@@ -13,8 +16,10 @@ from entopt.measures import (
     partial_transpose,
     pi_measure,
 )
-from entopt.spin_model import build_hamiltonian
+from entopt.spin_model import SIGMA_Y, build_hamiltonian
 from entopt.thermal import gibbs_state
+
+_SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
 BELL_SINGLET = np.zeros((4, 4))
 BELL_SINGLET[1, 1] = BELL_SINGLET[2, 2] = 0.5
@@ -159,3 +164,65 @@ def test_entanglement_report_consistency():
     assert rep.negativity == pytest.approx(max(-2 * rep.min_pt_eigenvalue, 0.0), abs=1e-15)
     assert rep.concurrence == concurrence(rho)
     assert rep.pi == pi_measure(rho)
+
+
+def reference_concurrence(rho) -> float:
+    """concurrence with the spin flip as two matmuls by sigma_y x sigma_y, and the
+    singular values from np.linalg.svd: the bit-for-bit oracle."""
+    values, vectors = hermitian_eigen(rho)
+    s = np.sqrt(np.maximum(values, 0.0))
+    sqrt_rho = (vectors * s) @ vectors.conj().T
+    m = _SYSY @ sqrt_rho.conj() @ _SYSY @ sqrt_rho
+    r0, r1, r2, r3 = np.linalg.svd(m, compute_uv=False).tolist()
+    return max(0.0, r0 - r1 - r2 - r3)
+
+
+def seeded_states(rng, n):
+    """n states: Gibbs states of random H over beta 1e-2 to 1e3, and states of
+    rank 1 to 3."""
+    states = []
+    for i in range(n):
+        if i % 4:
+            h = random_hermitian(rng, scale=rng.uniform(0.2, 2.0))
+            states.append(gibbs_state(h, 10 ** rng.uniform(-2.0, 3.0))[0])
+        else:
+            a = rng.normal(size=(4, i % 3 + 1)) + 1j * rng.normal(size=(4, i % 3 + 1))
+            rho = a @ a.conj().T
+            rho = rho / np.trace(rho).real
+            states.append((rho + rho.conj().T) / 2.0)
+    return states
+
+
+def test_concurrence_matches_matmul_spin_flip_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for rho in seeded_states(rng, 1200):
+        assert concurrence(rho) == reference_concurrence(rho)
+
+
+def test_pi_matches_numpy_product_bit_for_bit():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for rho in seeded_states(rng, 1500):
+        values = _pt_spectrum(rho)
+        expected = 2.0 * abs(float(np.prod(values))) ** 0.25 if values[0] < -1e-12 else 0.0
+        assert _pi(values) == expected
+        checked += expected > 0.0
+    assert checked > 1000
+
+
+def test_concurrence_of_pure_states():
+    # rank 1: rho has three zero eigenvalues and m three zero singular values
+    def pure(psi):
+        psi = np.asarray(psi, dtype=complex)
+        return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+    r = np.sqrt(0.5)
+    for bell in ([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]):
+        assert concurrence(pure(bell)) == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+        assert concurrence(pure(np.kron(a, b))) == pytest.approx(0.0, abs=1e-12)
+    for theta in np.linspace(0.0, np.pi, 37):
+        rho = pure([np.cos(theta), 0, 0, np.sin(theta)])
+        assert concurrence(rho) == pytest.approx(abs(np.sin(2 * theta)), abs=1e-12)

@@ -672,6 +672,22 @@ def test_unit_is_capped_at_the_largest_power_of_two():
     assert optimizer._unit(CanonicalCoupling(1.5e308, 0.0, 0.0)) == 2.0**1023
 
 
+def test_boundary_temperature_scales_by_powers_of_two_exactly_near_the_float_maximum():
+    # the window top 1e3 s / gap overflowed for s >= 2^1014, which moved the
+    # window and T_c's last digits; 1e3 / (gap / s) is the same for both
+    c = CanonicalCoupling(1e308, 1e300, 1e300)
+    k = 1000
+    small = CanonicalCoupling(*(math.ldexp(v, -k) for v in c.diagonal))
+    assert boundary_temperature(c) == math.ldexp(boundary_temperature(small), k)
+    # gaps (2^-974 s, 0) raw and in units of s = 2^100: a degenerate unit
+    # coupling, whose window top is 1e308, as that of the raw gap is
+    c = CanonicalCoupling(-(2.0**100), -5.0 * 2.0**-975, -4.0 * 2.0**-975)
+    unit = CanonicalCoupling(*(math.ldexp(v, -100) for v in c.diagonal))
+    assert c.gaps[1] > 0.0 and unit.gaps[1] == 0.0
+    with pytest.raises(NumericalFailure, match=r"on beta s in \[0\.001, 1e\+308\]"):
+        boundary_temperature(c)
+
+
 def test_d2n_op_dt2_jump_scales_by_powers_of_two_exactly():
     # on the raw coupling, products of its levels with beta J overflow to a NaN
     # jump; in units of s it is the jump of the coupling scaled by 2^-k, over 4^k

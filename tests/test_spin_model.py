@@ -242,6 +242,62 @@ EXACT_EDGES = [
 ]
 
 
+def reference_canonicalize(j):
+    """canonicalize on numpy arrays through np.linalg.svd: the bit-for-bit oracle."""
+    u, d, r2 = np.linalg.svd(j)
+    r1 = u.T.copy()
+    x, tol = d.tolist(), 2.0**-46 * d[0]
+    for i in (1, 2):
+        x[i] = x[i - 1] if x[i - 1] - x[i] <= tol else x[i] if x[i] > tol else 0.0
+    d = np.array(x)
+    for r in (r1, r2):
+        if _det3(r) < 0:
+            r[2, :] *= -1.0
+            d[2] *= -1.0
+    if d[2] < 0:
+        r1 = np.diag([-1.0, -1.0, 1.0]) @ r1
+        d[0] *= -1.0
+        d[1] *= -1.0
+        swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        r1, r2 = swap @ r1, swap @ r2
+        d = np.array([d[1], d[0], d[2]])
+    else:
+        d = np.abs(d)
+    return d, r1, r2
+
+
+def assert_canonicalize_matches_reference(j):
+    c = canonicalize(j)
+    d, r1, r2 = reference_canonicalize(np.asarray(j, dtype=float))
+    assert np.array_equal(np.signbit(c.diagonal), np.signbit(d))
+    assert np.array_equal(c.diagonal, d)
+    assert np.array_equal(c.r1, r1) and np.array_equal(np.signbit(c.r1), np.signbit(r1))
+    assert np.array_equal(c.r2, r2) and np.array_equal(np.signbit(c.r2), np.signbit(r2))
+
+
+@settings(max_examples=400)
+@given(rotated_couplings())
+def test_canonicalize_matches_reference_bit_for_bit(case):
+    assert_canonicalize_matches_reference(case[0])
+
+
+def test_canonicalize_matches_reference_on_normal_couplings():
+    rng = np.random.default_rng(53)
+    for _ in range(1000):
+        assert_canonicalize_matches_reference(rng.normal(size=(3, 3)))
+
+
+def test_diagonal_coupling_builds_the_same_hamiltonian_as_its_matrix():
+    rng = np.random.default_rng(59)
+    diagonals = [(1.0, -0.0, 0.0), (-0.0, -0.0, -0.0)] + [rng.normal(size=3) for _ in range(200)]
+    for d in diagonals:
+        h1, h2 = rng.normal(size=3), rng.normal(size=3)
+        h = build_hamiltonian(d, h1, h2)
+        expected = build_hamiltonian(np.diag(d), h1, h2)
+        assert np.array_equal(h, expected)
+        assert np.array_equal(np.signbit(h.view(float)), np.signbit(expected.view(float)))
+
+
 @pytest.mark.parametrize("d", EXACT_EDGES)
 def test_canonicalize_rotations_are_proper_on_exact_signed_permutations(d):
     # exact zeros and ties leave the SVD's null and degenerate vectors free in sign
@@ -249,6 +305,7 @@ def test_canonicalize_rotations_are_proper_on_exact_signed_permutations(d):
         q1, q2 = np.eye(3)[p1] * [1.0, -1.0, 1.0], np.eye(3)[p2]
         j = q1 @ np.diag(d) @ q2
         c = canonicalize(j)
+        assert_canonicalize_matches_reference(j)
         assert abs(np.linalg.det(c.r1) - 1.0) <= 1e-12
         assert abs(np.linalg.det(c.r2) - 1.0) <= 1e-12
         assert np.max(np.abs(c.r1 @ j @ c.r2.T - np.diag(c.diagonal))) <= 1e-12 * max(c.norm, 1.0)

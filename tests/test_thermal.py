@@ -88,3 +88,11 @@ def test_ground_state_nondegenerate():
     h = random_hermitian(rng)
     rho = ground_state(h)
     assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_purity_matches_numpy_trace_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for _ in range(1200):
+        h = random_hermitian(rng, scale=rng.uniform(0.2, 2.0))
+        rho, _ = gibbs_state(h, 10 ** rng.uniform(-2.0, 3.0))
+        assert purity(rho) == float(np.real(np.trace(rho @ rho)))
