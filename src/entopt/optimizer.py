@@ -16,12 +16,7 @@ import numpy as np
 
 from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
 from .measures import _negativity, _pt_spectrum
-from .spin_model import (
-    PAULI_BASIS,
-    CanonicalCoupling,
-    build_hamiltonian,
-    canonicalize,
-)
+from .spin_model import PAULI_BASIS, CanonicalCoupling, build_hamiltonian, canonicalize
 from .thermal import _gibbs, _validate_beta, gibbs_state, purity
 
 
@@ -119,20 +114,16 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def _unit(c: CanonicalCoupling) -> float:
-    """The power of two nearest |jx| + |jy| + |jz|, the spectral norm of a canonical coupling.
-
-    The exponent is capped at 1023, the largest finite power of two. N~
-    depends on the coupling, the field and beta only through beta*J and
-    beta*h, so the solvers work on the coupling / s at beta s; scaling by a
-    power of two is exact.
-    """
-    return 2.0 ** min(round(math.log2(c.norm)), 1023)
-
-
 def _failure(what: str, c: CanonicalCoupling, where: str) -> NumericalFailure:
     """The coupling is named to 17 digits, so that the failure reproduces."""
     return NumericalFailure(f"{what} for coupling ({c.jx:.17g}, {c.jy:.17g}, {c.jz:.17g}) {where}")
+
+
+def _is_maximum(c: CanonicalCoupling, u: float, beta: float, n: float) -> bool:
+    """False when N~ at u -+ 1e-5 max(1, u) beats n = N~(u) by more than 1e-10 |n| + 64 eps."""
+    delta = 1e-5 * max(1.0, u)
+    bound = n + (1e-10 * abs(n) + 2.0**-46)  # 2^-46 = 64 eps
+    return not any(negativity_tilde(c, v, beta) > bound for v in (u + delta, max(u - delta, 0.0)))
 
 
 def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
@@ -140,19 +131,22 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
 
     Low-temperature phase: the stationarity function is non-positive at h = 0
     and the optimum sits exactly at zero field. High-temperature phase: the
-    sign change on (0, h_max] is bracketed and refined with Brent's method,
-    in units of the coupling's scale s (see _unit).
+    sign change on (0, h_max] is bracketed and refined with Brent's method.
+    Both are solved on the coupling / s at beta s (see CanonicalCoupling.unit).
     """
     beta = _validate_beta(beta)
-    if _stationarity_scaled(c, 0.0, beta) <= 0.0:
-        n0 = max(negativity_tilde(c, 0.0, beta), 0.0)
+    s, unit_c = c.unit
+    bs = beta * s
+    if bs == 0.0:  # T/s past the float range, where h_op ~ T ln(T/s) is lost
+        raise _failure("beta s underflows to 0", c, f"at beta = {beta:.17g}")
+    if _stationarity_scaled(unit_c, 0.0, bs) <= 0.0:
+        n0 = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
         return OptimizationResult(0.0, n0, "low_t")
-    s = _unit(c)
 
     def stationarity(u):
-        return _stationarity_scaled(c, s * u, beta)
+        return _stationarity_scaled(unit_c, u, bs)
 
-    t = 1.0 / (beta * s)
+    t = 1.0 / bs
     u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
 
     def failure(what):
@@ -166,15 +160,12 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
         raise failure(f"field root search failed ({exc})") from None
     if u_op is None:
         raise failure("field root did not converge")
+    n_op = negativity_tilde(unit_c, u_op, bs)
+    if not _is_maximum(unit_c, u_op, bs, n_op):
+        raise failure(f"stationary point at h = {s * u_op:.17g} is not a maximum")
     h_op = s * u_op
-    n_op = negativity_tilde(c, h_op, beta)
-    delta = s * 1e-5 * max(1.0, u_op)
-    slack = 1e-10 * max(1.0, abs(n_op))
-    if (
-        negativity_tilde(c, h_op + delta, beta) > n_op + slack
-        or negativity_tilde(c, max(h_op - delta, 0.0), beta) > n_op + slack
-    ):
-        raise failure(f"stationary point at h = {h_op:.17g} is not a maximum")
+    if h_op == math.inf:
+        raise failure(f"optimal field overflows in input units (h / s = {u_op:.17g})")
     return OptimizationResult(h_op, max(n_op, 0.0), "high_t")
 
 
@@ -192,8 +183,7 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     """
     if c.gaps[1] == 0.0:
         return 0.0
-    s = _unit(c)
-    unit_c = CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s)  # exact; beta s cannot overflow
+    s, unit_c = c.unit  # beta s cannot overflow
 
     def g(y):
         return _stationarity_scaled(unit_c, 0.0, math.exp(y))
@@ -242,8 +232,10 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     d^2N_op/dbeta^2 = N_bb - N_bJ^2/N_JJ in the high_t phase by the
     implicit-function theorem on N_J = 0, or N_bb at the fixed J = |jx + jy|
     in the low_t phase (see closed_form._negativity_derivatives). Rows whose
-    n_op is clamped to 0 get 0 in both derivative columns.
+    n_op is clamped to 0 get 0 in both derivative columns. Like the field,
+    every column is taken on the coupling / s at beta s (see CanonicalCoupling.unit).
     """
+    s, unit_c = c.unit
     rows = []
     for t in temps:
         t = float(t)
@@ -251,21 +243,19 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
             raise ValueError(f"temperature must be finite and positive, got {t}")
         beta = 1.0 / t
         res = optimal_field(c, beta)
-        n_zero = max(negativity_tilde(c, 0.0, beta), 0.0)
-        rho_op, _ = gibbs_state(
-            build_hamiltonian(c.diagonal, (0.0, 0.0, res.h_op), (0.0, 0.0, -res.h_op)), beta
-        )
-        rho_zero, _ = gibbs_state(build_hamiltonian(c.diagonal), beta)
+        u, bs = res.h_op / s, beta * s
+        n_zero = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
+        rho_op, _ = gibbs_state(build_hamiltonian(unit_c.diagonal, (0, 0, u), (0, 0, -u)), bs)
+        rho_zero, _ = gibbs_state(build_hamiltonian(unit_c.diagonal), bs)
         d1 = d2 = 0.0
         if res.n_op > 0.0:
-            n_b, n_bb, jn_bj, j2n_jj = _negativity_derivatives(c, res.h_op, beta)
+            n_b, n_bb, jn_bj, j2n_jj = _negativity_derivatives(unit_c, u, bs)
             if res.phase == "high_t":
                 n_bb -= jn_bj * jn_bj / j2n_jj
-            # dT = -dbeta/beta^2. One factor of beta at a time, so an
-            # underflowed N_b never meets an overflowed beta^4 (0 * inf), and
-            # + 0.0 turns -0.0 into 0.0.
-            d1 = -beta * (beta * n_b) + 0.0
-            d2 = beta * (beta * (beta * (beta * n_bb + 2.0 * n_b))) + 0.0
+            # dT = -dbeta/beta^2, d/dbeta = s d/d(beta s). One factor at a time, so an underflowed
+            # N_b never meets an overflowed beta^4 (0 * inf); + 0.0 turns -0.0 into 0.0.
+            d1 = -beta * (bs * n_b) + 0.0
+            d2 = beta * (beta * (bs * (bs * n_bb + 2.0 * n_b))) + 0.0
         rows.append(
             EnhancementPoint(
                 t=t,
@@ -288,10 +278,10 @@ def d2n_op_dt2_jump(c: CanonicalCoupling, t_c: float) -> float:
 
     Both phases meet at J = |jx + jy|, where N_J = 0, so the jump is the
     implicit-function term of the high_t phase alone: beta_c^4 N_bJ^2/|N_JJ|, which
-    is positive; NumericalFailure when floats lose it in units of s (see _unit).
+    is positive; NumericalFailure when floats lose it in units of s (see
+    CanonicalCoupling.unit).
     """
-    s = _unit(c)
-    unit_c = CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s)
+    s, unit_c = c.unit
     beta = s / t_c  # on the coupling / s, where the jump is s^2 times the one asked for
     _, _, jn_bj, j2n_jj = _negativity_derivatives(unit_c, 0.0, beta)
     jump = beta * (beta * (beta * (beta * jn_bj * jn_bj))) / abs(j2n_jj)
@@ -345,8 +335,8 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     The six field components are searched by L-BFGS-B (finite-difference
     gradient, scipy's default options) from the constrained optimum, from
     zero field and from `restarts` uniform draws in a box of half-width 5, in
-    units of the coupling's scale s (see _unit; shrunk by 1/(beta s) when
-    beta s exceeds 1). Values are compared rather than raw
+    units of the coupling's scale s (see CanonicalCoupling.unit; shrunk by
+    1/(beta s) when beta s exceeds 1). Values are compared rather than raw
     parameters: local rotations from canonicalization change the optimal
     field's direction but not the achievable negativity. best_params are
     reported in the caller's original units; failed_restarts counts runs that
@@ -357,11 +347,8 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     beta = _validate_beta(beta)
     j = np.asarray(j, dtype=float)
     c = canonicalize(j)
-    if c.norm == 0.0:
-        zero = np.zeros(6)
-        return Hypothesis1Report(0.0, 0.0, zero, 0.0, restarts, 0, True)
-    s = _unit(c)
-    result = optimal_field(CanonicalCoupling(c.jx / s, c.jy / s, c.jz / s), beta * s)
+    s, unit_c = c.unit
+    result = optimal_field(unit_c, beta * s)
     constrained = result.n_op
     objective = _make_search_objective(j / s, beta * s)
 

@@ -115,6 +115,17 @@ class CanonicalCoupling:
         lo, hi = sorted((abs(self.jx), abs(self.jy)))
         return abs(self.jx + self.jy), 2.0 * (lo + self.jz), 2.0 * (hi + self.jz)
 
+    @cached_property
+    def unit(self) -> tuple[float, CanonicalCoupling]:
+        """(s, coupling / s), s the power of two nearest the norm (at most 2^1023; 1 at norm 0).
+
+        N~ depends on J, h and beta only through beta J and beta h, so every solver works on
+        the coupling / s at beta s and scales back by powers of s, which is exact."""
+        s = 2.0 ** min(round(math.log2(self.norm)), 1023) if self.norm else 1.0
+        if s == 1.0:
+            return s, self
+        return s, CanonicalCoupling(self.jx / s, self.jy / s, self.jz / s)
+
     @property
     def sign_class(self) -> str:
         """'afm' for the all-non-negative class, 'fm' for the all-non-positive one."""

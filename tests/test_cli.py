@@ -268,18 +268,19 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "bracket exhausted" in err
-    # beta J overflows, and the stationarity the root finder sees is NaN
     cases = [
-        ["optimize", "--diag=1e308,1e-300,1e-320", "--t-min", "1e-300", "--t-max", "1",
-         "--t-points", "2"],
-        ["asymptote-compare", "--diag=1e300,1e300,0.5", "--t-min", "1", "--t-max", "1e308",
-         "--t-points", "2"],
+        # beta J overflows even in units of s, and the root finder sees a NaN stationarity
+        (["optimize", "--diag=1e308,1e-300,1e-320", "--t-min", "1e-300", "--t-max", "1",
+          "--t-points", "2"], "field root search failed"),
+        # solved in units of s, but h_op = 4.6e8 s is past the float maximum
+        (["asymptote-compare", "--diag=1e300,1e300,0.5", "--t-min", "1", "--t-max", "1e308",
+          "--t-points", "2"], "optimal field overflows in input units"),
     ]
-    for argv in cases:
+    for argv, message in cases:
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 3, argv
-        assert err.startswith("numerical failure: field root search failed"), argv
+        assert err.startswith(f"numerical failure: {message}"), argv
 
 
 def test_lapack_failure_exits_3(monkeypatch, capsys):
@@ -323,6 +324,9 @@ EXTREME_COMMANDS = [
 EXTREME_CASES = [
     (["boundary", "--diag=1e308,5e307,1e307"], {0}),  # 2 ** round(log2 norm) overflows
     (["boundary", "--diag=1e300,1,0.5"], {0, 3}),  # the jump is NaN on the raw coupling
+    # d2n_op_dt2 was NaN on the raw coupling: beta^4 times a second beta derivative that overflows
+    (["optimize", "--diag=1e305,1e300,1e300", "--t-min", "1e304", "--t-max", "1e306",
+      "--t-points", "5"], {0}),
     (["verify-hypothesis", "--diag=0.5,0,-1e308", "--beta=5e-324", "--restarts=1"], {3}),
     (["phase-diagram", "--class=afm", "--grid-min=1e308", "--grid-max=1e308",
       "--grid-step=1"], {2}),
@@ -332,12 +336,14 @@ EXTREME_CASES = [
 
 def test_extreme_values_exit_0_2_or_3(capsys):
     """Any input ends in a result, a usage error or a numerical failure, never a traceback,
-    a warning, or a NaN or an infinity in a record."""
+    a warning, a NaN or an infinity in a JSON record, or a NaN in a CSV row (a CSV inf is
+    a true overflow)."""
 
     def check(argv, allowed):
         code, out = run_cli(capsys, *argv)
         assert code in allowed, argv
-        assert not (code == 0 and ("NaN" in out or "Infinity" in out)), argv
+        cells = {cell for line in out.splitlines() if line[:1] != "#" for cell in line.split(",")}
+        assert not (code == 0 and ("NaN" in out or "Infinity" in out or "nan" in cells)), argv
         return code
 
     for argv, allowed in EXTREME_CASES:

@@ -140,6 +140,15 @@ def test_optimal_field_zero_coupling():
         assert res.n_op == 0.0
 
 
+def test_optimal_field_raises_when_beta_s_underflows():
+    # T/s past the float range, where h_op ~ T ln(T/s)/2 ~ 4e32 here is still finite;
+    # solved on the raw coupling this returned h_op = 0 in the low_t phase
+    c = CanonicalCoupling(1e-300, 1e-300, 1e-300)
+    with pytest.raises(NumericalFailure, match=r"underflows to 0 .* at beta = 1\.0000000000000001e-30"):
+        optimal_field(c, 1e-30)
+    assert optimal_field(c, 1.0).phase == "high_t"  # T/s = 3.3e299
+
+
 def test_optimal_field_high_t_beyond_t_1e162():
     # J dN~/dJ at h = 0 is about (beta jt)^2/4 here, below the float range;
     # its sign still decides the phase
@@ -341,7 +350,7 @@ def test_rotated_degenerate_couplings_keep_zero_gap():
 def first_crossing_boundary(c):
     """T_c by a scan: the first sign change of the h -> 0 stationarity on 40
     points per decade of beta s from 1e-3 to 1e16, refined by Brent's method."""
-    s = optimizer._unit(c)
+    s = c.unit[0]
     grid = np.concatenate((np.geomspace(1e-3, 1e3, 241), np.geomspace(1e3, 1e16, 521)[1:]))
 
     def g(b):
@@ -669,7 +678,7 @@ def test_d2n_op_dt2_jump_matches_one_sided_differences():
 
 def test_unit_is_capped_at_the_largest_power_of_two():
     # round(log2(1.5e308)) is 1024, and 2.0 ** 1024 overflows
-    assert optimizer._unit(CanonicalCoupling(1.5e308, 0.0, 0.0)) == 2.0**1023
+    assert CanonicalCoupling(1.5e308, 0.0, 0.0).unit[0] == 2.0**1023
 
 
 def test_boundary_temperature_scales_by_powers_of_two_exactly_near_the_float_maximum():
@@ -699,6 +708,43 @@ def test_d2n_op_dt2_jump_scales_by_powers_of_two_exactly():
     jump_small = d2n_op_dt2_jump(small, math.ldexp(t_c, -k))
     assert 0.0 < jump_small < math.inf
     assert d2n_op_dt2_jump(c, t_c) == math.ldexp(jump_small, -2 * k)
+
+
+def test_optimal_field_and_sweep_rows_scale_by_powers_of_two_exactly_at_the_float_edges():
+    # on the raw coupling, products of its levels with beta J overflowed: the
+    # stationarity was NaN (exit 3) and so was every d2n_op_dt2 of these rows;
+    # in units of s each result is that of the coupling scaled by 2^-k
+    k = 1000
+    c = CanonicalCoupling(1e300, 1e299, 1e299)
+    small = CanonicalCoupling(*(math.ldexp(v, -k) for v in c.diagonal))
+    got, want = optimal_field(c, 1e-307), optimal_field(small, math.ldexp(1e-307, k))
+    assert got.h_op == math.ldexp(want.h_op, k) == 1.1492837515265728e308
+    assert (got.n_op, got.phase) == (want.n_op, want.phase)
+
+    c = CanonicalCoupling(1e305, 1e300, 1e300)  # T_c = 2.98e299
+    small = CanonicalCoupling(*(math.ldexp(v, -k) for v in c.diagonal))
+    temps = [1e299, 1e304, 1e306]
+    rows = enhancement_curve(c, temps)
+    for got, want in zip(rows, enhancement_curve(small, [math.ldexp(t, -k) for t in temps])):
+        assert got.h_op == math.ldexp(want.h_op, k)
+        for name in ("n_op", "n_zero_field", "purity_op", "purity_zero", "phase"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.dn_op_dt == math.ldexp(want.dn_op_dt, -k)
+        assert got.d2n_op_dt2 == math.ldexp(want.d2n_op_dt2, -2 * k)  # 0.0: ~1e-600 underflows
+    assert [r.phase for r in rows] == ["low_t", "high_t", "high_t"]
+    assert all(-math.inf < r.dn_op_dt < 0.0 for r in rows[1:])
+
+
+def test_maximum_check_rejects_a_root_one_percent_off():
+    # a slack of 1e-10 max(1, |n_op|) swamped the test once N_op < 1e-6 and
+    # accepted 1.01 h_op from T = 1e3 on; 1e-10 |n_op| + 64 eps catches it up to 1e6
+    for t in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        beta = 1.0 / t
+        res = optimal_field(FIG3, beta)  # s = 1: h is in units of s
+        assert res.phase == "high_t"
+        for h, is_max in ((res.h_op, True), (1.01 * res.h_op, False)):
+            n = negativity_tilde(FIG3, h, beta)
+            assert optimizer._is_maximum(FIG3, h, beta, n) is is_max, (t, h)
 
 
 def test_d2n_op_dt2_jump_raises_when_unresolved():
@@ -762,13 +808,15 @@ def test_verify_hypothesis_deterministic():
 
 
 def test_verify_hypothesis_zero_coupling():
-    report = verify_hypothesis1(np.zeros((3, 3)), 1.0, restarts=2, seed=0)
-    assert report.constrained_best == 0.0
-    assert report.unconstrained_best == 0.0
-    assert report.passed
+    # s = 1 at norm 0, so the zero coupling takes the search path like any other
+    for beta in (1e-300, 1.0, 1e300):
+        report = verify_hypothesis1(np.zeros((3, 3)), beta, restarts=2, seed=0)
+        assert (report.constrained_best, report.unconstrained_best, report.gap) == (0.0, 0.0, 0.0)
+        assert np.array_equal(report.best_params, np.zeros(6))
+        assert (report.failed_restarts, report.passed) == (0, True)
     with pytest.raises(ValueError, match="restarts"):
         verify_hypothesis1(np.zeros((3, 3)), 1.0, restarts=0)
-    # beta is checked before the zero coupling returns early
+    # beta is checked before the search starts
     for beta in (-1.0, np.nan):
         with pytest.raises(ValueError, match="inverse temperature"):
             verify_hypothesis1(np.zeros((3, 3)), beta, restarts=2)
