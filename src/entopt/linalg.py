@@ -9,8 +9,6 @@ from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, svd, svd_f
 
 # Shared tolerances; solvers and tests must agree on these.
 HERMITICITY_RTOL = 1e-12
-# Partial-transpose eigenvalues above this floor count as non-negative.
-PSD_EIGENVALUE_FLOOR = -1e-12
 _SCALE_MAX = np.finfo(float).max / 2.0  # larger entries can overflow M + M^dagger
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_EIGENVALUE_FLOOR, _eigh, _svdvals, hermitian_eigen, require_hermitian
+from .linalg import _eigh, _svdvals, hermitian_eigen, require_hermitian
 
 # X*[::-1, ::-1] * _FLIP_SIGN is sigma_y x sigma_y X* sigma_y x sigma_y
 _FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
@@ -25,13 +25,20 @@ def _pt_spectrum(rho) -> np.ndarray:
     return _eigh(partial_transpose(rho), vectors=False)[0]
 
 
-def _negativity(lam_min: float) -> float:
-    return -2.0 * lam_min if lam_min < PSD_EIGENVALUE_FLOOR else 0.0
+# rho^T1 counts as positive semidefinite unless lambda_min < -16 eps lambda_max: rounding
+# leaves separable states within a few eps lambda_max of 0
+_PSD_RTOL = 16.0 * 2.0**-52
+
+
+def _negativity(pt_values) -> float:
+    """-2 lambda_min of an ascending partial-transpose spectrum when it is negative, else 0."""
+    lam_min, _, _, lam_max = pt_values.tolist()
+    return -2.0 * lam_min if lam_min < -_PSD_RTOL * lam_max else 0.0
 
 
 def _pi(pt_values) -> float:
     a, b, c, d = pt_values.tolist()
-    if a >= PSD_EIGENVALUE_FLOOR:
+    if not a < -_PSD_RTOL * d:
         return 0.0
     # det rho^T1 is the product of its eigenvalues
     return 2.0 * abs(a * b * c * d) ** 0.25
@@ -46,8 +53,9 @@ def negativity(rho) -> float:
 
     The partial transpose of a two-qubit state has at most one negative
     eigenvalue, so this equals the trace-norm definition ||rho^T1||_1 - 1.
+    lambda_min counts as negative below -16 eps lambda_max, relative to the state's own scale.
     """
-    return _negativity(min_pt_eigenvalue(rho))
+    return _negativity(_pt_spectrum(require_hermitian(rho)))
 
 
 def concurrence(rho) -> float:
@@ -98,7 +106,7 @@ def entanglement_report(rho) -> EntanglementReport:
     values = _pt_spectrum(rho)
     lam = float(values[0])
     return EntanglementReport(
-        negativity=_negativity(lam),
+        negativity=_negativity(values),
         concurrence=concurrence(rho),
         pi=_pi(values),
         min_pt_eigenvalue=lam,

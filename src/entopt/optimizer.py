@@ -49,31 +49,18 @@ class Hypothesis1Report:
     passed: bool
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):
-    """A root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+def brentq(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """A root of f on [a, b] by Brent's method, from end values fa = f(a) > 0 and fb = f(b) < 0
+    (or fb == 0, which returns b).
 
-    A line-for-line port of scipy.optimize.brentq (scipy's brentq.c), so roots
-    and iteration counts agree with scipy's bit for bit, without importing
-    scipy. Returns (root, iterations); root is None when maxiter iterations
-    do not converge. A NaN value of f raises ValueError, as in scipy.
+    A line-for-line port of scipy.optimize.brentq (scipy's brentq.c), so roots and the
+    evaluations after the two ends agree with scipy's bit for bit, without importing scipy.
+    The caller has taken and sign-checked both end values. A NaN value of f, and 200
+    iterations without convergence, raise ValueError.
     """
-
-    def fx(x):
-        value = float(f(x))
-        if math.isnan(value):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return value
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre, 0
-    if fcur == 0.0:
-        return xcur, 0
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = float(a), float(b), fa, fb
     xblk = fblk = spre = scur = 0.0
-    for iterations in range(1, maxiter + 1):
+    for _ in range(200):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -83,7 +70,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iterations
+            return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 num, den = -fcur * (xcur - xpre), fcur - fpre
@@ -103,15 +90,17 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    return None, maxiter
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise ValueError("no convergence after 200 iterations")
 
 
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first use: importing the package loads no scipy."""
+def minimize(fun, x0):
+    """scipy's L-BFGS-B at its defaults, imported on first use: importing the package loads no scipy."""
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, **options)
+    return scipy_minimize(fun, x0, method="L-BFGS-B")
 
 
 def _failure(what: str, c: CanonicalCoupling, where: str) -> NumericalFailure:
@@ -137,9 +126,10 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     beta = _validate_beta(beta)
     s, unit_c = c.unit
     bs = beta * s
-    if bs == 0.0:  # T/s past the float range, where h_op ~ T ln(T/s) is lost
-        raise _failure("beta s underflows to 0", c, f"at beta = {beta:.17g}")
-    if _stationarity_scaled(unit_c, 0.0, bs) <= 0.0:
+    if bs == 0.0 or bs == math.inf:  # T/s past the float range: h_op ~ T ln(T/s), or T -> 0
+        raise _failure(f"beta s {'overflows' if bs else 'underflows to 0'}", c, f"at beta = {beta:.17g}")
+    f0 = _stationarity_scaled(unit_c, 0.0, bs)
+    if f0 <= 0.0:
         n0 = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
         return OptimizationResult(0.0, n0, "low_t")
 
@@ -147,19 +137,18 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
         return _stationarity_scaled(unit_c, u, bs)
 
     t = 1.0 / bs
-    u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))
+    u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))  # inf for T/s >~ 1e305
 
     def failure(what):
         return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {s * u_max:.17g}]")
 
-    if stationarity(u_max) >= 0.0:
-        raise failure("no field bracket")
+    f_max = stationarity(u_max)
+    if not (f0 > 0.0 and f_max < 0.0):  # a NaN or inf end fails too
+        raise failure(f"no field bracket (stationarity {f0!r} at h = 0, {f_max!r} at the top)")
     try:
-        u_op, _ = brentq(stationarity, 0.0, u_max, xtol=1e-12, rtol=1e-11, maxiter=200)
-    except ValueError as exc:  # a NaN stationarity value
+        u_op = brentq(stationarity, 0.0, u_max, f0, f_max, xtol=1e-12, rtol=1e-11)
+    except ValueError as exc:  # a NaN stationarity value, or no convergence
         raise failure(f"field root search failed ({exc})") from None
-    if u_op is None:
-        raise failure("field root did not converge")
     n_op = negativity_tilde(unit_c, u_op, bs)
     if not _is_maximum(unit_c, u_op, bs, n_op):
         raise failure(f"stationary point at h = {s * u_op:.17g} is not a maximum")
@@ -196,16 +185,15 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     def failure(what):  # the window in beta s: beta itself can overflow when s is small
         return _failure(what, c, f"with s = {s:.17g}, on beta s in [{bottom:.17g}, {top:.17g}]")
 
-    if g(lo) <= 0.0:
-        raise failure(f"boundary scan starts past the sign change at beta s = {bottom:.17g}")
-    if g(hi) > 0.0:
-        raise failure(f"no boundary sign change up to beta s = {top:.17g}")
+    g_lo, g_hi = g(lo), g(hi)
+    if not g_lo > 0.0:
+        raise failure(f"boundary scan starts past the sign change at beta s = {bottom:.17g} ({g_lo!r})")
+    if not g_hi <= 0.0:
+        raise failure(f"no boundary sign change up to beta s = {top:.17g} ({g_hi!r})")
     try:
-        y, _ = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
-    except ValueError as exc:  # a NaN stationarity value
+        y = brentq(g, lo, hi, g_lo, g_hi, xtol=1e-13, rtol=1e-15)
+    except ValueError as exc:  # a NaN stationarity value, or no convergence
         raise failure(f"boundary root search failed ({exc})") from None
-    if y is None:
-        raise failure("boundary root did not converge")
     return s / math.exp(y)
 
 
@@ -320,7 +308,7 @@ def _make_search_objective(j, beta: float):
 
     def objective(fields):
         rho, _ = _gibbs((h_int + fields @ field_basis).reshape(4, 4), beta)
-        return -_negativity(float(_pt_spectrum(rho)[0]))
+        return -_negativity(_pt_spectrum(rho))
 
     return objective
 
@@ -347,18 +335,19 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     beta = _validate_beta(beta)
     j = np.asarray(j, dtype=float)
     c = canonicalize(j)
-    s, unit_c = c.unit
-    result = optimal_field(unit_c, beta * s)
+    result = optimal_field(c, beta)  # checks beta s
     constrained = result.n_op
-    objective = _make_search_objective(j / s, beta * s)
+    s = c.unit[0]
+    u_op, bs = result.h_op / s, beta * s
+    objective = _make_search_objective(j / s, bs)
 
     # The constrained optimum mapped back to the unrotated frame, plus zero
     # fields, always seed the search; random restarts fill the rest.
     seeded = [
-        np.concatenate((c.r1.T @ [0.0, 0.0, result.h_op], c.r2.T @ [0.0, 0.0, -result.h_op])),
+        np.concatenate((c.r1.T @ [0.0, 0.0, u_op], c.r2.T @ [0.0, 0.0, -u_op])),
         np.zeros(6),
     ]
-    box = 5.0 / max(1.0, beta * s)
+    box = 5.0 / max(1.0, bs)
     rng = np.random.default_rng(seed)
     starts = seeded + [rng.uniform(-box, box, size=6) for _ in range(restarts)]
 
@@ -366,7 +355,7 @@ def verify_hypothesis1(j, beta: float, restarts: int = 64, seed: int = 0) -> Hyp
     best_params = np.zeros(6)
     failed = 0
     for start in starts:
-        res = minimize(objective, start, method="L-BFGS-B")
+        res = minimize(objective, start)
         if not res.success:
             failed += 1
         if -res.fun > best_value:

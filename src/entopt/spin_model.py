@@ -74,12 +74,13 @@ def is_canonical_diagonal(jx: float, jy: float, jz: float) -> bool:
     return 0.0 <= jz <= min(jx, jy) or max(jx, jy) <= jz <= 0.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CanonicalCoupling:
     """Diagonal XYZ coupling plus the spin rotations that produced it.
 
     The rotations satisfy diag(jx, jy, jz) = r1 @ J @ r2.T with
-    det r1 = det r2 = +1.
+    det r1 = det r2 = +1. Frozen, so that the canonical check and the cached
+    gaps and unit stay true.
     """
 
     jx: float
@@ -90,7 +91,9 @@ class CanonicalCoupling:
 
     def __post_init__(self):
         # Python floats: numpy scalars would tax every step of the scalar solvers
-        self.jx, self.jy, self.jz = d = (float(self.jx), float(self.jy), float(self.jz))
+        d = (float(self.jx), float(self.jy), float(self.jz))
+        for name, value in zip(("jx", "jy", "jz"), d):
+            object.__setattr__(self, name, value)
         # NaN or inf components fail this too
         if not math.isfinite(self.norm):
             raise ValueError(f"coupling {d} has no finite norm |jx| + |jy| + |jz|")

@@ -12,34 +12,42 @@ from entopt.optimizer import boundary_temperature, optimal_field
 port = optimizer.brentq
 
 
-def scipy_reference(f, a, b, xtol, rtol, maxiter):
-    """scipy's brentq as (root, iterations), root None when it does not converge."""
-    root, info = scipy_brentq(
-        f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True, disp=False
-    )
-    return (root if info.converged else None), info.iterations
+def counted(f):
+    """f, and a list that gets one entry per evaluation."""
+    evals = []
+
+    def g(x):
+        evals.append(x)
+        return f(x)
+
+    return g, evals
 
 
-def checked_against_scipy(calls):
-    """The port, asserting on every call that scipy returns the same root and iteration count."""
-
-    def brentq(f, a, b, xtol, rtol, maxiter):
-        result = port(f, a, b, xtol, rtol, maxiter)
-        assert result == scipy_reference(f, a, b, xtol, rtol, maxiter), (a, b)
-        calls.append(result[1])
-        return result
-
-    return brentq
+def assert_matches_scipy(f, a, b, xtol, rtol):
+    """The port from f(a) and f(b) gives scipy's root, with scipy's evaluations but the two ends."""
+    g, evals = counted(f)
+    root = port(g, a, b, f(a), f(b), xtol, rtol)
+    want, info = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200, full_output=True)
+    assert info.converged
+    assert root == want, (a, b)
+    assert len(evals) == info.function_calls - 2, (a, b)
+    return root
 
 
 @settings(max_examples=300)
 @given(regime_couplings(), st.lists(st.floats(-3.0, 170.0), min_size=3, max_size=3))
 def test_port_matches_scipy_on_solver_brackets(c, log_t):
     # the T_c solve and field solves just above T_c and at T/s from 1e-3 to
-    # 1e170, on the brackets the solvers build themselves
+    # 1e170, on the brackets and end values the solvers build themselves
     calls = []
+
+    def checked(f, a, b, fa, fb, xtol, rtol):
+        assert (fa, fb) == (f(a), f(b))
+        calls.append(None)
+        return assert_matches_scipy(f, a, b, xtol, rtol)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "brentq", checked_against_scipy(calls))
+        mp.setattr(optimizer, "brentq", checked)
         t_c = boundary_temperature(c)
         temps = [1.01 * t_c] + [c.norm * 10.0**e for e in log_t]
         for t in temps:
@@ -62,29 +70,32 @@ def test_port_matches_scipy_on_solver_brackets(c, log_t):
     ids=["cos", "step", "zero_denominator", "zero_denominator_subnormal"],
 )
 def test_port_matches_scipy_on_edge_cases(f, a, b):
-    for maxiter in (200, 3):
-        assert port(f, a, b, 1e-12, 1e-11, maxiter) == scipy_reference(f, a, b, 1e-12, 1e-11, maxiter)
+    assert_matches_scipy(f, a, b, 1e-12, 1e-11)
 
 
-def test_port_returns_a_root_at_an_end_at_once():
-    # scipy returns the same roots, with an iteration count it leaves unset
-    assert port(lambda x: x - 0.5, 0.5, 1.0, 1e-12, 1e-11, 200) == (0.5, 0)
-    assert port(lambda x: x - 1.0, 0.5, 1.0, 1e-12, 1e-11, 200) == (1.0, 0)
-    assert scipy_brentq(lambda x: x - 0.5, 0.5, 1.0) == 0.5
-    assert scipy_brentq(lambda x: x - 1.0, 0.5, 1.0) == 1.0
+def test_port_returns_b_when_fb_is_zero():
+    # scipy returns the same root after its two end evaluations
+    g, evals = counted(lambda x: 1.0 - x)
+    assert port(g, 0.5, 1.0, 0.5, 0.0, 1e-12, 1e-11) == 1.0
+    assert evals == []
+    assert scipy_brentq(lambda x: 1.0 - x, 0.5, 1.0) == 1.0
 
 
-def test_port_returns_none_when_maxiter_runs_out():
-    assert port(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12, 1e-11, 2) == (None, 2)
+def test_port_raises_when_200_iterations_do_not_converge():
+    # with xtol = rtol = 0 a step is never resolved: the bracket shrinks to
+    # adjacent floats, and no value is 0
+    g, evals = counted(lambda x: 1.0 if x < 0.3 else -1.0)
+    with pytest.raises(ValueError, match="no convergence after 200 iterations"):
+        port(g, 0.0, 1.0, 1.0, -1.0, 0.0, 0.0)
+    assert len(evals) == 200
 
 
-def test_port_raises_on_nan_and_on_an_unbracketed_root():
+def test_port_raises_on_nan():
     # the first secant step from f(0) = 1, f(1) = -1 lands on x = 0.5
     def f(x):
         return math.nan if x == 0.5 else 1.0 - 2.0 * x
 
-    for solver in (port, scipy_reference):
-        with pytest.raises(ValueError, match="NaN"):
-            solver(f, 0.0, 1.0, 1e-12, 1e-11, 200)
-        with pytest.raises(ValueError, match="different signs"):
-            solver(lambda x: 1.0 + x, 0.0, 1.0, 1e-12, 1e-11, 200)
+    with pytest.raises(ValueError, match="NaN"):
+        port(f, 0.0, 1.0, 1.0, -1.0, 1e-12, 1e-11)
+    with pytest.raises(ValueError, match="NaN"):
+        scipy_brentq(f, 0.0, 1.0, xtol=1e-12, rtol=1e-11)

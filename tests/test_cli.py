@@ -269,18 +269,28 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert code == 3
     assert "bracket exhausted" in err
     cases = [
-        # beta J overflows even in units of s, and the root finder sees a NaN stationarity
+        # beta s = 1e300 * 2^1023 overflows, so the T -> 0 limit is lost
         (["optimize", "--diag=1e308,1e-300,1e-320", "--t-min", "1e-300", "--t-max", "1",
-          "--t-points", "2"], "field root search failed"),
+          "--t-points", "2"], "beta s overflows"),
         # solved in units of s, but h_op = 4.6e8 s is past the float maximum
         (["asymptote-compare", "--diag=1e300,1e300,0.5", "--t-min", "1", "--t-max", "1e308",
           "--t-points", "2"], "optimal field overflows in input units"),
+        # beta s = 1e-30 * 2^-995 underflows to 0, checked by the constrained solve
+        (["verify-hypothesis", "--diag=1e-300,1e-300,1e-300", "--beta", "1e-30", "--restarts", "1"],
+         "beta s underflows to 0"),
     ]
     for argv, message in cases:
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 3, argv
         assert err.startswith(f"numerical failure: {message}"), argv
+    # a NaN stationarity inside the field bracket: positive at h = 0, negative at the top
+    values = iter([1.0, -1.0])
+    monkeypatch.setattr("entopt.optimizer._stationarity_scaled", lambda c, h, beta: next(values, np.nan))
+    code = cli.main(["optimize", "--diag", FIG3_README, "--t-min", "2", "--t-max", "2",
+                     "--t-points", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: field root search failed (")
 
 
 def test_lapack_failure_exits_3(monkeypatch, capsys):

@@ -4,8 +4,10 @@ from conftest import random_canonical, random_density_matrix, random_hermitian
 
 from entopt.asymptotics import high_t_hop_exact
 from entopt.closed_form import negativity_tilde
+from entopt.optimizer import optimal_field
 from entopt.linalg import hermitian_eigen
 from entopt.measures import (
+    _negativity,
     _pi,
     _pt_spectrum,
     concurrence,
@@ -16,7 +18,7 @@ from entopt.measures import (
     partial_transpose,
     pi_measure,
 )
-from entopt.spin_model import SIGMA_Y, build_hamiltonian
+from entopt.spin_model import SIGMA_Y, CanonicalCoupling, build_hamiltonian
 from entopt.thermal import gibbs_state
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -155,6 +157,46 @@ def test_perturbative_negativity_consistency():
         assert abs(negativity(rho) - approx) <= 10 * beta**2
 
 
+def test_negativity_matches_the_closed_form_optimum_up_to_t_1e12():
+    # the PSD floor is relative to the state's own scale: an absolute -1e-12
+    # returned 0 here from T = 1e11 on, where N_op ~ 2.4e-13
+    c = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)  # s = 1
+    for t in 10.0 ** np.arange(0, 13):
+        res = optimal_field(c, 1.0 / t)
+        rho = opposed_field_state(c, res.h_op, 1.0 / t)
+        assert negativity(rho) == pytest.approx(res.n_op, rel=1e-2, abs=0.0), t
+        assert entanglement_report(rho).negativity == negativity(rho)
+
+
+def random_qubit_states(rng, n):
+    """n exactly Hermitian 2x2 states, about a third of them pure."""
+    psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    pure = np.einsum("ni,nj->nij", psi, psi.conj()) / np.sum(np.abs(psi) ** 2, axis=1)[:, None, None]
+    w = rng.uniform(0.0, 1.0, size=(n, 1, 1))
+    a = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    other = np.einsum("ni,nj->nij", a, a.conj()) / np.sum(np.abs(a) ** 2, axis=1)[:, None, None]
+    mixed = w * pure + (1.0 - w) * other
+    return np.where((rng.uniform(size=n) < 1.0 / 3.0)[:, None, None], pure, mixed)
+
+
+def test_negativity_is_zero_on_separable_states():
+    # mixtures of one or two product states, with pure factors among them, so
+    # ranks 1 to 4: rounding never takes lambda_min below -16 eps lambda_max
+    rng = np.random.default_rng(47)
+    n = 10_000
+    first = [np.einsum("nij,nkl->nikjl", random_qubit_states(rng, n), random_qubit_states(rng, n))
+             .reshape(n, 4, 4) for _ in range(2)]
+    p = rng.uniform(0.0, 1.0, size=(n, 1, 1)) * (np.arange(n) % 2 == 0)[:, None, None]
+    states = p * first[0] + (1.0 - p) * first[1]
+    ranks = set()
+    for rho in states:
+        values = _pt_spectrum(rho)
+        assert _negativity(values) == 0.0 and _pi(values) == 0.0
+        ranks.add(int(np.sum(np.linalg.eigvalsh(rho) > 1e-12)))
+    assert negativity(states[0]) == 0.0
+    assert ranks == {1, 2, 3, 4}
+
+
 def test_entanglement_report_consistency():
     rng = np.random.default_rng(31)
     c = random_canonical(rng)
@@ -204,7 +246,8 @@ def test_pi_matches_numpy_product_bit_for_bit():
     checked = 0
     for rho in seeded_states(rng, 1500):
         values = _pt_spectrum(rho)
-        expected = 2.0 * abs(float(np.prod(values))) ** 0.25 if values[0] < -1e-12 else 0.0
+        npt = values[0] < -16.0 * np.finfo(float).eps * values[3]
+        expected = 2.0 * abs(float(np.prod(values))) ** 0.25 if npt else 0.0
         assert _pi(values) == expected
         checked += expected > 0.0
     assert checked > 1000

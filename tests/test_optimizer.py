@@ -488,34 +488,89 @@ def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
 
 
 def test_solvers_raise_when_brent_does_not_converge(monkeypatch):
-    monkeypatch.setattr(optimizer, "brentq", lambda f, a, b, xtol, rtol, maxiter: (None, maxiter))
+    def no_convergence(f, a, b, fa, fb, xtol, rtol):
+        raise ValueError("no convergence after 200 iterations")
+
+    monkeypatch.setattr(optimizer, "brentq", no_convergence)
     with pytest.raises(NumericalFailure) as exc:
         optimal_field(FIG3, 0.25)
     message = str(exc.value)
-    assert "field root did not converge" in message
+    assert "field root search failed (no convergence after 200 iterations)" in message
     assert "(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, bracket [0, " in message
     with pytest.raises(NumericalFailure) as exc:
         boundary_temperature(FIG3)
     message = str(exc.value)
-    assert "boundary root did not converge" in message
+    assert "boundary root search failed (no convergence after 200 iterations)" in message
     assert "with s = 1, on beta s in [0.001, 1000]" in message
 
 
+def nan_inside_the_bracket():
+    """A stationarity stub: positive at the first point taken, negative at the second (the
+    bracket ends of either solver), NaN from then on, inside the bracket."""
+    values = iter([1.0, -1.0])
+    return lambda c, h, beta: next(values, math.nan)
+
+
 def test_solvers_report_a_nan_stationarity_as_numerical_failure(monkeypatch):
-    # beta J overflows, so the stationarity is inf * 0 at h = 0; brentq's
-    # ValueError on the NaN reaches the caller as the solver's own failure
-    c = CanonicalCoupling(1e308, 1e-300, 1e-320)
+    # brentq's ValueError on the NaN reaches the caller as the solver's own failure
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", nan_inside_the_bracket())
     with pytest.raises(NumericalFailure) as exc:
-        optimal_field(c, 1e300)
+        optimal_field(FIG3, 0.25)
     message = str(exc.value)
-    assert "field root search failed (The function value at x=0.0 is NaN" in message
-    assert "(1e+308, 1e-300, 9.9998886718268301e-321) at beta = 1.0000000000000001e+300" in message
-    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: math.nan)
+    assert "field root search failed (The function value at x=" in message
+    assert "is NaN" in message
+    assert "(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, bracket [0, " in message
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", nan_inside_the_bracket())
     with pytest.raises(NumericalFailure) as exc:
         boundary_temperature(FIG3)
     message = str(exc.value)
     assert "boundary root search failed (The function value at x=" in message
     assert "with s = 1, on beta s in [0.001, 1000]" in message
+
+
+def test_a_nan_or_inf_bracket_end_is_no_bracket(monkeypatch):
+    # the callers check both end values before Brent starts, NaN and inf included
+    for top in (math.nan, math.inf):
+        values = iter([1.0, top])
+        monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: next(values))
+        with pytest.raises(NumericalFailure, match=f"no field bracket .*{top!r} at the top"):
+            optimal_field(FIG3, 0.25)
+    values = iter([math.nan, -1.0])
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", lambda c, h, beta: next(values))
+    with pytest.raises(NumericalFailure, match=r"boundary scan starts past .*\(nan\)"):
+        boundary_temperature(FIG3)
+
+
+def test_solvers_never_evaluate_a_point_twice(monkeypatch):
+    # each bracket end is taken once, by the caller, and passed to brentq
+    seen = []
+
+    def recorded(c, h, beta):
+        seen.append((h, beta))
+        return _stationarity_scaled(c, h, beta)
+
+    monkeypatch.setattr(optimizer, "_stationarity_scaled", recorded)
+    for c in (ISO, FIG3, CanonicalCoupling(-0.5, -0.3, -0.2), CanonicalCoupling(3.0, 1.0, 0.3)):
+        seen.clear()
+        t_c = boundary_temperature(c)
+        for t in (1.01 * t_c, 2.0 * t_c, 10.0 * c.norm, 1e6 * c.norm):
+            assert optimal_field(c, 1.0 / t).phase == "high_t"
+        assert len(seen) == len(set(seen)), c
+
+
+def test_optimal_field_raises_when_beta_s_overflows():
+    # s = 4, so beta s is inf: the T -> 0 limit is not taken; at s = 1 the same beta solves
+    with pytest.raises(NumericalFailure, match=r"beta s overflows .* at beta = 1e\+308"):
+        optimal_field(CanonicalCoupling(3.0, 1.0, 0.3), 1e308)
+    assert optimal_field(CanonicalCoupling(0.75, 0.25, 0.075), 1e308) == optimizer.OptimizationResult(
+        0.0, 1.0, "low_t"
+    )
+    # beta J overflows in units of s too; on the raw coupling this was a NaN stationarity
+    with pytest.raises(NumericalFailure, match="beta s overflows"):
+        optimal_field(CanonicalCoupling(1e308, 1e-300, 1e-320), 1e300)
+    # beta s is finite but beta jt = 2.1e308 is not: the h = 0 end is NaN, which is no bracket
+    with pytest.raises(NumericalFailure, match=r"no field bracket \(stationarity nan at h = 0, "):
+        optimal_field(CanonicalCoupling(0.7, 0.7, 0.0), 1.5e308)
 
 
 def test_phase_diagram_grid_and_symmetries():

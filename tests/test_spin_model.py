@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_canonical
@@ -324,6 +326,15 @@ def test_from_diagonal_validation():
     # the test is exact, so tiny couplings are checked too
     with pytest.raises(ValueError, match="canonical"):
         CanonicalCoupling(1e-13, 1e-13, -5e-13)
+
+
+def test_canonical_coupling_is_frozen():
+    # an assignment would skip the canonical check and leave gaps and unit stale
+    c = CanonicalCoupling(1 / 3, 1 / 3, 1 / 3)
+    gaps, unit = c.gaps, c.unit
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.jz = 5.0
+    assert (c.jz, c.gaps, c.unit) == (1 / 3, gaps, unit)
 
 
 def test_fields_are_python_floats():
