@@ -10,7 +10,6 @@ from .asymptotics import (
     AsymptoteDomainError,
     HighTAsymptote,
     LowTAsymptote,
-    NondegenerateCouplingError,
     high_t_hop_exact,
     high_t_leading,
     lambert_w_minus1,
@@ -41,12 +40,7 @@ from .optimizer import (
     phase_diagram,
     verify_hypothesis1,
 )
-from .spin_model import (
-    CanonicalCoupling,
-    build_hamiltonian,
-    canonicalize,
-    is_canonical_diagonal,
-)
+from .spin_model import CanonicalCoupling, build_hamiltonian, canonicalize, is_canonical_diagonal
 from .thermal import gibbs_state, purity
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "HighTAsymptote",
     "Hypothesis1Report",
     "LowTAsymptote",
-    "NondegenerateCouplingError",
     "NumericalFailure",
     "OptimizationResult",
     "PhasePoint",

@@ -6,17 +6,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .linalg import NumericalFailure
 from .spin_model import CanonicalCoupling
+from .thermal import _validate_beta
 
 _BRANCH_POINT = -1.0 / math.e
 
 
 class AsymptoteDomainError(ValueError):
     """Requested asymptote is outside its validity domain."""
-
-
-class NondegenerateCouplingError(ValueError):
-    """No low-temperature asymptote exists; the optimizing field is exactly zero."""
 
 
 def lambert_w_minus1(x: float) -> float:
@@ -57,6 +55,10 @@ class HighTAsymptote:
     h_op: float
     n_op: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.h_op):  # h' / beta past the float maximum
+            raise NumericalFailure(f"asymptotic field overflows (beta h = {self.h_prime_op!r})")
+
 
 @dataclass(frozen=True)
 class LowTAsymptote:
@@ -66,6 +68,10 @@ class LowTAsymptote:
     n_op: float
     degeneracy: str  # "doubly" or "triply"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.h_op) and math.isfinite(self.n_op)):  # beta |Jx+Jy| overflows
+            raise NumericalFailure(f"low-temperature asymptote overflows ({self.h_op!r}, {self.n_op!r})")
+
 
 def high_t_hop_exact(jx: float, jy: float, beta: float) -> HighTAsymptote:
     """Optimal field from the fixed point e^(2h') = 8 h'^2 / (beta |Jx+Jy|).
@@ -74,14 +80,12 @@ def high_t_hop_exact(jx: float, jy: float, beta: float) -> HighTAsymptote:
     -sqrt(beta |Jx+Jy| / 8) stays above the branch point -1/e, i.e. at high
     enough temperature.
     """
-    jt = abs(jx + jy)
+    beta, jt = _validate_beta(beta), abs(jx + jy)
     if jt == 0.0:
         raise AsymptoteDomainError("|Jx + Jy| vanishes; the high-temperature scale is undefined")
     arg = -math.sqrt(beta * jt / 8.0)
     if arg < _BRANCH_POINT:
-        raise AsymptoteDomainError(
-            f"asymptote invalid at this temperature: W argument {arg:.6g} < -1/e"
-        )
+        raise AsymptoteDomainError(f"asymptote invalid at this temperature: W argument {arg:.6g} < -1/e")
     hp = -lambert_w_minus1(arg)
     n_op = beta * jt / (2.0 * hp) - 2.0 * math.exp(-2.0 * hp)
     return HighTAsymptote(h_prime_op=hp, h_op=hp / beta, n_op=n_op)
@@ -93,14 +97,13 @@ def high_t_leading(jx: float, jy: float, beta: float) -> HighTAsymptote:
     Known to converge slowly: at moderate temperatures these can be off by
     factors of 2 or more where the fixed-point asymptote is already accurate.
     """
-    if beta >= 1.0:
-        raise AsymptoteDomainError(f"leading-order asymptote needs beta < 1, got {beta}")
+    beta, jt = _validate_beta(beta), abs(jx + jy)
+    if not (beta < 1.0 and jt < math.inf):  # a NaN jt fails too
+        raise AsymptoteDomainError(
+            f"leading-order asymptote needs beta < 1 and a finite |Jx+Jy|, got {beta} and {jt}"
+        )
     log1b = math.log(1.0 / beta)
-    return HighTAsymptote(
-        h_prime_op=0.5 * log1b,
-        h_op=log1b / (2.0 * beta),
-        n_op=beta * abs(jx + jy) / log1b,
-    )
+    return HighTAsymptote(h_prime_op=0.5 * log1b, h_op=log1b / (2.0 * beta), n_op=beta * jt / log1b)
 
 
 def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
@@ -110,11 +113,10 @@ def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
     0 >= jz = jy > jx (doubly degenerate) and 0 >= jz = jx = jy (triply).
     Elsewhere the optimizing field is exactly zero at low temperature.
     """
+    beta = _validate_beta(beta)
     jt, gap, _ = c.gaps
     if gap > 0.0:
-        raise NondegenerateCouplingError(
-            "no low-temperature asymptote for this coupling; h_op = 0 exactly"
-        )
+        raise AsymptoteDomainError("no low-temperature asymptote for this coupling; h_op = 0 exactly")
     if 2.0 * beta * jt <= 1.0:
         raise AsymptoteDomainError(
             f"low-temperature asymptote needs 2 beta |Jx+Jy| > 1, got {2.0 * beta * jt}"
@@ -135,6 +137,8 @@ def matrix_element_pp_mm(
     Hamiltonian. The magnitude is bounded by |Jx + Jy|, with equality at
     (theta1, theta2, phi1, phi2) = (0, pi, 0, 0), i.e. opposed z fields.
     """
+    if not all(map(math.isfinite, (theta1, theta2, phi1 + phi2, phi1 - phi2))):  # NaN fails too
+        raise ValueError(f"angles and phi1 +- phi2 must be finite, got {(theta1, phi1, theta2, phi2)}")
     s1 = math.sin(theta1 / 2.0) ** 2
     c1 = math.cos(theta1 / 2.0) ** 2
     s2 = math.sin(theta2 / 2.0) ** 2

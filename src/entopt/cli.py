@@ -32,13 +32,8 @@ from .optimizer import (
     phase_diagram,
     verify_hypothesis1,
 )
-from .spin_model import (
-    CanonicalCoupling,
-    build_hamiltonian,
-    canonicalize,
-    is_canonical_diagonal,
-)
-from .thermal import gibbs_state, purity
+from .spin_model import CanonicalCoupling, build_hamiltonian, canonicalize, is_canonical_diagonal
+from .thermal import _beta_from_t, gibbs_state, purity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,29 +42,25 @@ EXIT_NUMERICAL = 3
 _MAX_GRID_VALUES = 10_000
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_reals(text: str, count: int, label: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     try:
         values = np.array([float(p) for p in parts])
     except ValueError as exc:
-        raise UsageError(f"could not parse {label}: {exc}") from None
+        raise ValueError(f"could not parse {label}: {exc}") from None
     if values.size != count:
-        raise UsageError(f"{label} needs {count} numbers, got {values.size}")
+        raise ValueError(f"{label} needs {count} numbers, got {values.size}")
     return values
 
 
 def _coupling_from_args(args) -> np.ndarray:
     if args.coupling and args.diag:
-        raise UsageError("give either --coupling or --diag, not both")
+        raise ValueError("give either --coupling or --diag, not both")
     if args.coupling:
         return _parse_reals(args.coupling, 9, "--coupling").reshape(3, 3)
     if args.diag:
         return np.diag(_parse_reals(args.diag, 3, "--diag"))
-    raise UsageError("a coupling is required (--coupling or --diag)")
+    raise ValueError("a coupling is required (--coupling or --diag)")
 
 
 def _canonical_from_args(args):
@@ -88,9 +79,9 @@ def _canonical_from_args(args):
 
 def _temperature_grid(args, spacing: str) -> np.ndarray:
     if not args.t_max >= args.t_min:
-        raise UsageError(f"--t-max {args.t_max} must not be below --t-min {args.t_min}")
+        raise ValueError(f"--t-max {args.t_max} must not be below --t-min {args.t_min}")
     if args.t_points < 1:
-        raise UsageError("--t-points must be at least 1")
+        raise ValueError("--t-points must be at least 1")
     # Infinite or mixed-sign ends leave NaN or inf temperatures, which the solvers reject.
     with np.errstate(invalid="ignore", over="ignore"):
         if spacing == "log":
@@ -192,14 +183,12 @@ def _cmd_optimize(args) -> None:
 
 def _grid_values(args) -> np.ndarray:
     if not 0.0 < args.grid_step < np.inf:
-        raise UsageError(f"--grid-step must be positive and finite, got {args.grid_step}")
+        raise ValueError(f"--grid-step must be positive and finite, got {args.grid_step}")
     if not args.grid_max >= args.grid_min:
-        raise UsageError(
-            f"--grid-max {args.grid_max} must not be below --grid-min {args.grid_min}"
-        )
+        raise ValueError(f"--grid-max {args.grid_max} must not be below --grid-min {args.grid_min}")
     steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
     if not steps < _MAX_GRID_VALUES:
-        raise UsageError(f"--grid-* must span at most {_MAX_GRID_VALUES} values per axis")
+        raise ValueError(f"--grid-* must span at most {_MAX_GRID_VALUES} values per axis")
     return args.grid_min + args.grid_step * np.arange(int(steps) + 1)
 
 
@@ -233,10 +222,11 @@ _ASYMPTOTE_COLUMNS = (
 
 
 def _asymptote(formula, c: CanonicalCoupling, beta: float):
-    """(h_op, n_op) of a high-temperature asymptote, or (None, None) outside its domain."""
+    """(h_op, n_op) of a high-temperature asymptote, or (None, None) outside its domain or where
+    its field overflows."""
     try:
         a = formula(c.jx, c.jy, beta)
-    except AsymptoteDomainError:
+    except (AsymptoteDomainError, NumericalFailure):
         return None, None
     return a.h_op, a.n_op
 
@@ -249,29 +239,17 @@ def _cmd_asymptote_compare(args) -> None:
     c, warning = _canonical_from_args(args)
     rows = []
     for t in _temperature_grid(args, spacing="log"):
-        beta = 1.0 / float(t)
+        beta = _beta_from_t(t)
         res = optimal_field(c, beta)
         h_asym, n_asym = _asymptote(high_t_hop_exact, c, beta)
         h_lead, n_lead = _asymptote(high_t_leading, c, beta)
         n_at_h_asym = None if h_asym is None else max(negativity_tilde(c, h_asym, beta), 0.0)
-        rows.append(
-            [
-                float(t),
-                res.h_op,
-                res.n_op,
-                h_asym,
-                n_asym,
-                h_lead,
-                n_lead,
-                _ratio(h_asym, res.h_op),
-                _ratio(h_lead, res.h_op),
-                _ratio(n_asym, res.n_op),
-                _ratio(n_lead, res.n_op),
-                _ratio(n_at_h_asym, res.n_op),
-                int(h_asym is not None),
-                int(h_lead is not None),
-            ]
-        )
+        rows.append([
+            float(t), res.h_op, res.n_op, h_asym, n_asym, h_lead, n_lead,
+            _ratio(h_asym, res.h_op), _ratio(h_lead, res.h_op), _ratio(n_asym, res.n_op),
+            _ratio(n_lead, res.n_op), _ratio(n_at_h_asym, res.n_op),
+            int(h_asym is not None), int(h_lead is not None),
+        ])
     config = _sweep_config("asymptote-compare", c, args)
     _write_table(args, config, _ASYMPTOTE_COLUMNS, rows, warning)
 
@@ -292,7 +270,7 @@ def _cmd_verify_hypothesis(args) -> None:
 def _cmd_measure(args) -> None:
     j = _coupling_from_args(args)
     if args.fields and args.field_z is not None:
-        raise UsageError("give either --fields or --field-z, not both")
+        raise ValueError("give either --fields or --field-z, not both")
     if args.fields:
         fields = _parse_reals(args.fields, 6, "--fields")
     elif args.field_z is not None:
@@ -355,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_phase_diagram)
 
-    p = sub.add_parser(
-        "asymptote-compare", help="exact optimum vs high-temperature asymptotes"
-    )
+    p = sub.add_parser("asymptote-compare", help="exact optimum vs high-temperature asymptotes")
     _add_coupling_flags(p)
     p.add_argument("--t-min", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=100.0)
@@ -365,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_asymptote_compare)
 
-    p = sub.add_parser(
-        "verify-hypothesis", help="unconstrained field search vs the opposed-z optimum"
-    )
+    p = sub.add_parser("verify-hypothesis", help="unconstrained field search vs the opposed-z optimum")
     _add_coupling_flags(p)
     p.add_argument("--beta", type=float, required=True, help="inverse temperature 1/T")
     p.add_argument("--restarts", type=int, default=64)
@@ -388,11 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # UsageError and every input error of the library are ValueErrors; so are
-    # AsymptoteDomainError and LAPACK's LinAlgError, so solver failures come first.
     try:
         args.func(args)
-    except (NumericalFailure, AsymptoteDomainError, np.linalg.LinAlgError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NumericalFailure
 from .spin_model import CanonicalCoupling
 from .thermal import _validate_beta
 
@@ -79,6 +80,16 @@ def _scaled_form(c: CanonicalCoupling, h: float, beta: float):
     return (jt / j if jt else 0.0), j, x, ap, am, ch, sh, xc, hx
 
 
+def _checked_form(c: CanonicalCoupling, h: float, beta: float):
+    """_scaled_form at a finite field and a valid beta; NumericalFailure where J overflows."""
+    if not math.isfinite(h):
+        raise ValueError(f"field must be finite, got {h}")
+    form = _scaled_form(c, h, _validate_beta(beta))
+    if form[1] == math.inf:
+        raise NumericalFailure(f"J = hypot(2 h, |jx + jy|) overflows at h = {h!r}")
+    return form
+
+
 def closed_form_params(c: CanonicalCoupling, h: float, beta: float) -> ClosedFormParams:
     """Evaluate the five closed-form scalars and the partition function.
 
@@ -86,16 +97,17 @@ def closed_form_params(c: CanonicalCoupling, h: float, beta: float) -> ClosedFor
     b2 = 2 h sinh(beta J)/J and b3 = -exp(-2 beta jz) sinh(beta j1), all
     times exp(-beta jz - beta J), so log_scale = beta jz + beta J.
     """
-    beta = _validate_beta(beta)
-    h = float(h)
-    _, j, x, ap, am, ch, sh, _, _ = _scaled_form(c, h, beta)
+    h, beta = float(h), float(beta)
+    _, j, x, ap, am, ch, sh, _, _ = _checked_form(c, h, beta)
     # sinh(beta J)/J e^-x; J = 0 only at the zero coupling and h = 0, where
     # both of its prefactors vanish
     sj = sh / j if j else 0.0
-    a1 = ap + am
+    a1, log_scale = ap + am, beta * c.jz + x
+    if not math.isfinite(log_scale):
+        raise NumericalFailure(f"log_scale = beta jz + beta J overflows at beta = {beta!r}")
     return ClosedFormParams(
-        a1, -(c.jx + c.jy) * sj, ch, 2.0 * h * sj, am - ap, abs(c.jx - c.jy), j,
-        2.0 * (a1 + ch), beta * c.jz + x,
+        a1, -(c.jx + c.jy) * sj, ch, 2.0 * h * sj, am - ap, abs(c.jx - c.jy), j, 2.0 * (a1 + ch),
+        log_scale,
     )
 
 
@@ -115,7 +127,7 @@ def negativity_tilde(c: CanonicalCoupling, h: float, beta: float) -> float:
     May be negative; the physical negativity is max(N~, 0). Exposed un-clamped
     so root finders can locate sign changes and stationary points.
     """
-    r, _, _, ap, am, ch, sh, _, _ = _scaled_form(c, h, _validate_beta(beta))
+    r, _, _, ap, am, ch, sh, _, _ = _checked_form(c, float(h), beta)
     a = ap + am
     return (r * sh - a) / (a + ch)
 

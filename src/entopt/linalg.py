@@ -7,9 +7,13 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, svd, svd_f
 
-# Shared tolerances; solvers and tests must agree on these.
+# Relative defect up to which a matrix counts as Hermitian
 HERMITICITY_RTOL = 1e-12
 _SCALE_MAX = np.finfo(float).max / 2.0  # larger entries can overflow M + M^dagger
+
+
+class NumericalFailure(RuntimeError):
+    """A lost result: no bracket, no convergence, a LAPACK failure or an overflow."""
 
 
 class NonHermitianError(ValueError):
@@ -54,7 +58,7 @@ def _eigh(m, vectors: bool = True):
     else:
         values, v = eigvalsh_lo(m, signature="D->d"), None
     if math.isnan(values[0]):
-        raise np.linalg.LinAlgError("zheevd did not converge")
+        raise NumericalFailure("zheevd did not converge")
     return values, v
 
 
@@ -63,7 +67,7 @@ def _svdvals(m) -> np.ndarray:
     the call numpy.linalg.svd(m, compute_uv=False) makes, without its wrapper."""
     s = svd(m, signature="D->d")
     if math.isnan(s[0]):
-        raise np.linalg.LinAlgError("zgesdd did not converge")
+        raise NumericalFailure("zgesdd did not converge")
     return s
 
 
@@ -71,7 +75,7 @@ def _svd(m):
     """numpy.linalg.svd(m) of a real matrix: its dgesdd gufunc, without the wrapper."""
     u, s, vh = svd_f(m, signature="d->ddd")
     if math.isnan(s[0]):
-        raise np.linalg.LinAlgError("dgesdd did not converge")
+        raise NumericalFailure("dgesdd did not converge")
     return u, s, vh
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _svdvals, hermitian_eigen, require_hermitian
+from .linalg import NumericalFailure, _eigh, _svdvals, hermitian_eigen, require_hermitian
 
 # X*[::-1, ::-1] * _FLIP_SIGN is sigma_y x sigma_y X* sigma_y x sigma_y
 _FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
@@ -15,14 +15,22 @@ _FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 _PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
+def _state(rho) -> np.ndarray:
+    """rho made exactly Hermitian by require_hermitian, and checked to be 4x4."""
+    rho = require_hermitian(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {rho.shape}")
+    return rho
+
+
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the first qubit's indices; involutive and trace preserving."""
-    return np.asarray(rho, dtype=complex).take(_PT_INDEX)
+    return _state(rho).take(_PT_INDEX)
 
 
 def _pt_spectrum(rho) -> np.ndarray:
     """Ascending eigenvalues of rho^T1, without checks, for an exactly Hermitian rho."""
-    return _eigh(partial_transpose(rho), vectors=False)[0]
+    return _eigh(rho.take(_PT_INDEX), vectors=False)[0]
 
 
 # rho^T1 counts as positive semidefinite unless lambda_min < -16 eps lambda_max: rounding
@@ -40,12 +48,14 @@ def _pi(pt_values) -> float:
     a, b, c, d = pt_values.tolist()
     if not a < -_PSD_RTOL * d:
         return 0.0
-    # det rho^T1 is the product of its eigenvalues
-    return 2.0 * abs(a * b * c * d) ** 0.25
+    det = abs(a * b * c * d)  # det rho^T1 is the product of its eigenvalues
+    if det == math.inf:
+        raise NumericalFailure(f"det rho^T1 overflows (eigenvalues {a!r} to {d!r})")
+    return 2.0 * det**0.25
 
 
 def min_pt_eigenvalue(rho) -> float:
-    return float(_pt_spectrum(require_hermitian(rho))[0])
+    return float(_pt_spectrum(_state(rho))[0])
 
 
 def negativity(rho) -> float:
@@ -55,7 +65,7 @@ def negativity(rho) -> float:
     eigenvalue, so this equals the trace-norm definition ||rho^T1||_1 - 1.
     lambda_min counts as negative below -16 eps lambda_max, relative to the state's own scale.
     """
-    return _negativity(_pt_spectrum(require_hermitian(rho)))
+    return _negativity(_pt_spectrum(_state(rho)))
 
 
 def concurrence(rho) -> float:
@@ -76,7 +86,7 @@ def concurrence(rho) -> float:
 
 def pi_measure(rho) -> float:
     """Determinant-based quantifier: 2 |det rho^T1|^(1/4) when rho^T1 < 0, else 0."""
-    return _pi(_pt_spectrum(require_hermitian(rho)))
+    return _pi(_pt_spectrum(_state(rho)))
 
 
 def necessary_condition(rho) -> bool:
@@ -86,7 +96,7 @@ def necessary_condition(rho) -> bool:
     with nonzero negativity satisfies both inequalities; separable states may
     fail them. Both hold within an absolute slack of 1e-12.
     """
-    values = _eigh(require_hermitian(rho), vectors=False)[0].tolist()
+    values = _eigh(_state(rho), vectors=False)[0].tolist()
     l4, l3, l2, l1 = (max(v, 0.0) for v in values)
     mid = l3 + 2.0 * math.sqrt(l2 * l4)
     return l1 + 1e-12 >= mid and mid + 1e-12 >= 3.0 * l4
@@ -102,12 +112,6 @@ class EntanglementReport:
 
 def entanglement_report(rho) -> EntanglementReport:
     """All three measures of one state from a single partial-transpose eigensolve."""
-    rho = require_hermitian(rho)
+    rho = _state(rho)
     values = _pt_spectrum(rho)
-    lam = float(values[0])
-    return EntanglementReport(
-        negativity=_negativity(values),
-        concurrence=concurrence(rho),
-        pi=_pi(values),
-        min_pt_eigenvalue=lam,
-    )
+    return EntanglementReport(_negativity(values), concurrence(rho), _pi(values), float(values[0]))

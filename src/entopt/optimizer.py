@@ -15,13 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
+from .linalg import NumericalFailure
 from .measures import _negativity, _pt_spectrum
 from .spin_model import PAULI_BASIS, CanonicalCoupling, build_hamiltonian, canonicalize
-from .thermal import _gibbs, _validate_beta, gibbs_state, purity
-
-
-class NumericalFailure(RuntimeError):
-    """A solver exhausted its bracket or failed to converge."""
+from .thermal import _beta_from_t, _gibbs, _validate_beta, gibbs_state, purity
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,11 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     beta = _validate_beta(beta)
     s, unit_c = c.unit
     bs = beta * s
-    if bs == 0.0 or bs == math.inf:  # T/s past the float range: h_op ~ T ln(T/s), or T -> 0
-        raise _failure(f"beta s {'overflows' if bs else 'underflows to 0'}", c, f"at beta = {beta:.17g}")
+    # T/s past the float range (h_op ~ T ln(T/s)), or T -> 0 past it: beta jt overflows, as it
+    # does wherever beta s does, jt being at least 2/3 of the norm
+    if bs == 0.0 or bs * unit_c.gaps[0] == math.inf:
+        what = "s overflows" if bs == math.inf else "|jx + jy| overflows" if bs else "s underflows to 0"
+        raise _failure(f"beta {what}", c, f"at beta = {beta:.17g}")
     f0 = _stationarity_scaled(unit_c, 0.0, bs)
     if f0 <= 0.0:
         n0 = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
@@ -137,14 +137,17 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
         return _stationarity_scaled(unit_c, u, bs)
 
     t = 1.0 / bs
-    u_max = max(10.0, 5.0 * t * math.log(max(t, 2.0)))  # inf for T/s >~ 1e305
+    # capped at 2^1022, so that 2 u and J stay finite; above T/s ~ 1.25e305 the root lies past it
+    u_max = min(max(10.0, 5.0 * t * math.log(max(t, 2.0))), 2.0**1022)
 
     def failure(what):
         return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {s * u_max:.17g}]")
 
     f_max = stationarity(u_max)
     if not (f0 > 0.0 and f_max < 0.0):  # a NaN or inf end fails too
-        raise failure(f"no field bracket (stationarity {f0!r} at h = 0, {f_max!r} at the top)")
+        past = f_max > 0.0 and u_max == 2.0**1022
+        raise failure(f"no field bracket (stationarity {f0!r} at h = 0, {f_max!r} at the top"
+                      + "; the optimal field lies past the cap h / s = 2^1022" * past + ")")
     try:
         u_op = brentq(stationarity, 0.0, u_max, f0, f_max, xtol=1e-12, rtol=1e-11)
     except ValueError as exc:  # a NaN stationarity value, or no convergence
@@ -227,9 +230,7 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     rows = []
     for t in temps:
         t = float(t)
-        if not (0.0 < t < math.inf):
-            raise ValueError(f"temperature must be finite and positive, got {t}")
-        beta = 1.0 / t
+        beta = _beta_from_t(t)
         res = optimal_field(c, beta)
         u, bs = res.h_op / s, beta * s
         n_zero = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
@@ -244,20 +245,11 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
             # N_b never meets an overflowed beta^4 (0 * inf); + 0.0 turns -0.0 into 0.0.
             d1 = -beta * (bs * n_b) + 0.0
             d2 = beta * (beta * (bs * (bs * n_bb + 2.0 * n_b))) + 0.0
-        rows.append(
-            EnhancementPoint(
-                t=t,
-                h_op=res.h_op,
-                n_op=res.n_op,
-                n_zero_field=n_zero,
-                enhancement=res.n_op - n_zero,
-                purity_op=purity(rho_op),
-                purity_zero=purity(rho_zero),
-                dn_op_dt=d1,
-                d2n_op_dt2=d2,
-                phase=res.phase,
-            )
-        )
+        rows.append(EnhancementPoint(
+            t=t, h_op=res.h_op, n_op=res.n_op, n_zero_field=n_zero, enhancement=res.n_op - n_zero,
+            purity_op=purity(rho_op), purity_zero=purity(rho_zero), dn_op_dt=d1, d2n_op_dt2=d2,
+            phase=res.phase,
+        ))
     return rows
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .linalg import _eigh, require_hermitian
+from .linalg import NumericalFailure, _eigh, require_hermitian
 
 
 def _validate_beta(beta: float) -> float:
@@ -14,6 +14,16 @@ def _validate_beta(beta: float) -> float:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"inverse temperature must be finite and positive, got {beta}")
     return beta
+
+
+def _beta_from_t(t: float) -> float:
+    """1/T for 0 < T < inf; NumericalFailure where 1/T overflows (a subnormal T)."""
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {t}")
+    if 1.0 / t == math.inf:
+        raise NumericalFailure(f"1/T overflows at T = {t!r}")
+    return 1.0 / t
 
 
 def _gibbs(h, beta: float):
@@ -29,8 +39,8 @@ def _gibbs(h, beta: float):
 def gibbs_state(h, beta: float):
     """Thermal state exp(-beta H)/Z via eigendecomposition.
 
-    The ground energy is subtracted before exponentiation so that beta up to
-    ~1e3 cannot overflow; the returned partition function uses that shifted
+    The ground energy is subtracted before exponentiation, so every exponent is
+    <= 0 and no beta overflows; the returned partition function uses that shifted
     convention, Z_shifted = Z * exp(beta * E_min). Returns (rho, z_shifted).
     """
     rho, z = _gibbs(require_hermitian(h), _validate_beta(beta))
@@ -40,4 +50,9 @@ def gibbs_state(h, beta: float):
 def purity(rho) -> float:
     """tr(rho^2), between 1/4 (maximally mixed) and 1 (pure)."""
     rho = np.asarray(rho)
-    return float((rho @ rho).trace().real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        p = float(rho.dot(rho).trace().real)  # the bits of rho @ rho, with less overhead
+    if not math.isfinite(p):
+        require_hermitian(rho)  # non-finite or oversized entries are rejected input
+        raise NumericalFailure(f"tr(rho^2) overflows ({p})")
+    return p

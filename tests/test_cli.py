@@ -223,9 +223,6 @@ def test_usage_errors_exit_2(capsys):
         # inputs the CLI passes on for the library to reject
         ["measure", "--diag", "1e308,1e308,1e308", "--beta", "1"],  # H overflows
         ["measure", "--diag", "1,1,1", "--beta", "1", "--field-z", "1e308"],
-        ["optimize", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1", "--t-points", "2"],
-        ["asymptote-compare", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1",
-         "--t-points", "2"],
         ["verify-hypothesis", "--diag", "1e308,1e308,1e308", "--beta", "1", "--restarts", "1"],
         ["canonicalize", "--coupling", "1e308,1e308,0,0,1,0,0,0,1"],
         ["boundary", "--diag", "1e308,1e308,1e308"],  # the norm overflows
@@ -278,6 +275,11 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
         # beta s = 1e-30 * 2^-995 underflows to 0, checked by the constrained solve
         (["verify-hypothesis", "--diag=1e-300,1e-300,1e-300", "--beta", "1e-30", "--restarts", "1"],
          "beta s underflows to 0"),
+        # T = 1e-320 is valid input, but 1/T overflows
+        (["optimize", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1", "--t-points", "2"],
+         "1/T overflows at T = 1e-320"),
+        (["asymptote-compare", "--diag", "1,1,1", "--t-min", "1e-320", "--t-max", "1",
+          "--t-points", "2"], "1/T overflows at T = 1e-320"),
     ]
     for argv, message in cases:
         code = cli.main(argv)
@@ -294,9 +296,8 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
 
 
 def test_lapack_failure_exits_3(monkeypatch, capsys):
-    # LinAlgError is a ValueError, but a solver failure, not a usage error
     def no_convergence(m, vectors=True):
-        raise np.linalg.LinAlgError("zheevd did not converge")
+        raise NumericalFailure("zheevd did not converge")
 
     monkeypatch.setattr("entopt.thermal._eigh", no_convergence)
     code = cli.main(["measure", "--diag", FIG3_README, "--beta", "1"])
@@ -341,6 +342,10 @@ EXTREME_CASES = [
     (["phase-diagram", "--class=afm", "--grid-min=1e308", "--grid-max=1e308",
       "--grid-step=1"], {2}),
     (["measure", "--diag=3,1e-320,1e300", "--beta=1e308", "--field-z=5e-324"], {0}),
+    # a valid T whose 1/T overflows is a lost result
+    (["optimize", f"--diag={FIG3_README}", "--t-min=1e-320", "--t-max=1e-320", "--t-points=1"], {3}),
+    # h_op = 3.58e307 lies below the field bracket's cap of 2^1022 = 4.49e307
+    (["optimize", f"--diag={FIG3_README}", "--t-min=1e305", "--t-max=1e305", "--t-points=1"], {0}),
 ]
 
 

@@ -9,7 +9,7 @@ from conftest import random_canonical, regime_couplings
 from hypothesis import given, settings
 from scipy.optimize import brentq
 
-from entopt.asymptotics import NondegenerateCouplingError, high_t_hop_exact, low_t_asymptote
+from entopt.asymptotics import AsymptoteDomainError, high_t_hop_exact, low_t_asymptote
 from entopt.closed_form import negativity_tilde
 import entopt.cli as cli
 import entopt.optimizer as optimizer
@@ -158,6 +158,20 @@ def test_optimal_field_high_t_beyond_t_1e162():
         assert res.phase == "high_t"
         assert res.n_op == pytest.approx(asym.n_op, rel=1e-6, abs=0.0)
         assert res.h_op == pytest.approx(asym.h_op, rel=1e-6, abs=0.0)
+
+
+def test_field_bracket_top_is_capped_below_the_float_maximum():
+    # the top 5 t ln t is capped at h / s = 2^1022: below T/s ~ 1.25e305 the root lies under it
+    for t in (1e305, 1.25e305):
+        res = optimal_field(FIG3, 1.0 / t)
+        assert res.h_op == pytest.approx(high_t_hop_exact(FIG3.jx, FIG3.jy, 1.0 / t).h_op, rel=1e-12)
+    assert optimal_field(FIG3, 1e-305).h_op == pytest.approx(3.5816e307, rel=1e-4)
+    # above it, a finite top value and the cap are named
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(FIG3, 1.0 / 2e305)
+    message = str(exc.value)
+    assert "at the top; the optimal field lies past the cap h / s = 2^1022)" in message
+    assert "nan" not in message and "inf" not in message
 
 
 def test_degenerate_h_op_matches_low_t_asymptote():
@@ -315,7 +329,7 @@ def test_one_degeneracy_rule():
         assert (c.gaps[1] == 0.0) == degenerate, c.diagonal
         assert (boundary_temperature(c) == 0.0) == degenerate, c.diagonal
         if not degenerate:
-            with pytest.raises(NondegenerateCouplingError):
+            with pytest.raises(AsymptoteDomainError, match="h_op = 0"):
                 low_t_asymptote(c, 1e6)
         elif c.norm > 0.0:
             assert low_t_asymptote(c, 1e6).degeneracy in ("doubly", "triply")
@@ -568,9 +582,12 @@ def test_optimal_field_raises_when_beta_s_overflows():
     # beta J overflows in units of s too; on the raw coupling this was a NaN stationarity
     with pytest.raises(NumericalFailure, match="beta s overflows"):
         optimal_field(CanonicalCoupling(1e308, 1e-300, 1e-320), 1e300)
-    # beta s is finite but beta jt = 2.1e308 is not: the h = 0 end is NaN, which is no bracket
-    with pytest.raises(NumericalFailure, match=r"no field bracket \(stationarity nan at h = 0, "):
+    # beta s is finite but beta jt = 2.1e308 is not: the frame gate rejects it before any NaN
+    with pytest.raises(NumericalFailure, match=r"beta \|jx \+ jy\| overflows .* at beta = 1\.5e\+308"):
         optimal_field(CanonicalCoupling(0.7, 0.7, 0.0), 1.5e308)
+    assert optimal_field(CanonicalCoupling(0.75, 0.25, 0.075), 1.7e308) == optimizer.OptimizationResult(
+        0.0, 1.0, "low_t"
+    )
 
 
 def test_phase_diagram_grid_and_symmetries():
