@@ -111,20 +111,25 @@ def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
 
     Applies where CanonicalCoupling.gaps has jt - kp == 0: 0 >= jz = jx > jy,
     0 >= jz = jy > jx (doubly degenerate) and 0 >= jz = jx = jy (triply).
-    Elsewhere the optimizing field is exactly zero at low temperature.
+    Elsewhere the optimizing field is exactly zero at low temperature. Like
+    the solvers, it is taken on the coupling / s at beta s and h_op is scaled
+    back by s (see CanonicalCoupling.unit), so that 4 beta cannot overflow
+    before |Jx+Jy| scales it down.
     """
     beta = _validate_beta(beta)
-    jt, gap, _ = c.gaps
+    s, unit_c = c.unit
+    bs = beta * s
+    jt, gap, _ = unit_c.gaps
     if gap > 0.0:
         raise AsymptoteDomainError("no low-temperature asymptote for this coupling; h_op = 0 exactly")
-    if 2.0 * beta * jt <= 1.0:
+    if 2.0 * bs * jt <= 1.0:
         raise AsymptoteDomainError(
-            f"low-temperature asymptote needs 2 beta |Jx+Jy| > 1, got {2.0 * beta * jt}"
+            f"low-temperature asymptote needs 2 beta |Jx+Jy| > 1, got {2.0 * bs * jt}"
         )
-    tag = "triply" if c.jx == c.jy else "doubly"
-    log_term = math.log((4.0 if tag == "triply" else 2.0) * beta * jt)
-    h_op = math.sqrt(jt / (2.0 * beta) * log_term)
-    n_op = 1.0 - (1.0 + log_term) / (beta * jt)
+    tag = "triply" if unit_c.jx == unit_c.jy else "doubly"
+    log_term = math.log((4.0 if tag == "triply" else 2.0) * bs * jt)
+    h_op = s * math.sqrt(jt / (2.0 * bs) * log_term)
+    n_op = 1.0 - (1.0 + log_term) / (bs * jt)
     return LowTAsymptote(h_op=h_op, n_op=n_op, degeneracy=tag)
 
 

@@ -90,6 +90,8 @@ def _temperature_grid(args, spacing: str) -> np.ndarray:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most table cells: sweep rows are nine floats and a string
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, str):

@@ -15,12 +15,16 @@ _FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 _PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
+def _two_qubit(m) -> np.ndarray:
+    """m itself, checked to be 4x4."""
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
+    return m
+
+
 def _state(rho) -> np.ndarray:
     """rho made exactly Hermitian by require_hermitian, and checked to be 4x4."""
-    rho = require_hermitian(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {rho.shape}")
-    return rho
+    return _two_qubit(require_hermitian(rho))
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -77,6 +81,7 @@ def concurrence(rho) -> float:
     precision loss of rooting near-zero eigenvalues.
     """
     values, vectors = hermitian_eigen(rho)
+    _two_qubit(vectors)  # rho's shape: hermitian_eigen checks only that rho is square
     s = np.sqrt(np.maximum(values, 0.0))  # roundoff can leave tiny negatives
     sqrt_rho = (vectors * s) @ vectors.conj().T
     m = (sqrt_rho.conj()[::-1, ::-1] * _FLIP_SIGN) @ sqrt_rho

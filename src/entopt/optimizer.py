@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _negativity_derivatives, _stationarity_scaled, negativity_tilde
-from .linalg import NumericalFailure
+from .linalg import NumericalFailure, _eigh
 from .measures import _negativity, _pt_spectrum
 from .spin_model import PAULI_BASIS, CanonicalCoupling, build_hamiltonian, canonicalize
-from .thermal import _beta_from_t, _gibbs, _validate_beta, gibbs_state, purity
+from .thermal import _beta_from_t, _gibbs, _gibbs_from_spectrum, _validate_beta, gibbs_state, purity
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,9 @@ def optimal_field(c: CanonicalCoupling, beta: float) -> OptimizationResult:
     # capped at 2^1022, so that 2 u and J stay finite; above T/s ~ 1.25e305 the root lies past it
     u_max = min(max(10.0, 5.0 * t * math.log(max(t, 2.0))), 2.0**1022)
 
-    def failure(what):
-        return _failure(what, c, f"at beta = {beta:.17g}, bracket [0, {s * u_max:.17g}]")
+    def failure(what):  # the bracket in units of s, whose top s u_max can overflow
+        return _failure(what, c, f"at beta = {beta:.17g}, bracket h / s in [0, {u_max:.17g}] "
+                                 f"with s = {s:.17g}")
 
     f_max = stationarity(u_max)
     if not (f0 > 0.0 and f_max < 0.0):  # a NaN or inf end fails too
@@ -200,6 +201,10 @@ def boundary_temperature(c: CanonicalCoupling) -> float:
     return s / math.exp(y)
 
 
+# s1^z - s2^z: the opposed fields (0, 0, u) and (0, 0, -u) add u times this to H
+_OPPOSED_Z = np.diag([0.0, 2.0, -2.0, 0.0])
+
+
 @dataclass(frozen=True)
 class EnhancementPoint:
     t: float
@@ -225,8 +230,12 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
     in the low_t phase (see closed_form._negativity_derivatives). Rows whose
     n_op is clamped to 0 get 0 in both derivative columns. Like the field,
     every column is taken on the coupling / s at beta s (see CanonicalCoupling.unit).
+    The zero-field Hamiltonian and its spectrum do not depend on T: they are
+    taken once per call, and a row makes one Gibbs eigensolve, at its field.
     """
     s, unit_c = c.unit
+    h_zero = build_hamiltonian(unit_c.diagonal)
+    zero_spectrum = _eigh(h_zero)
     rows = []
     for t in temps:
         t = float(t)
@@ -234,8 +243,9 @@ def enhancement_curve(c: CanonicalCoupling, temps) -> list[EnhancementPoint]:
         res = optimal_field(c, beta)
         u, bs = res.h_op / s, beta * s
         n_zero = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
-        rho_op, _ = gibbs_state(build_hamiltonian(unit_c.diagonal, (0, 0, u), (0, 0, -u)), bs)
-        rho_zero, _ = gibbs_state(build_hamiltonian(unit_c.diagonal), bs)
+        rho_op, _ = gibbs_state(h_zero + u * _OPPOSED_Z, bs)
+        rho_zero, _ = _gibbs_from_spectrum(*zero_spectrum, bs)
+        rho_zero = (rho_zero + rho_zero.conj().T) / 2.0  # symmetrized, as by gibbs_state
         d1 = d2 = 0.0
         if res.n_op > 0.0:
             n_b, n_bb, jn_bj, j2n_jj = _negativity_derivatives(unit_c, u, bs)

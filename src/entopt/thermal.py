@@ -26,14 +26,19 @@ def _beta_from_t(t: float) -> float:
     return 1.0 / t
 
 
-def _gibbs(h, beta: float):
-    """gibbs_state without checks, for an exactly Hermitian h and a valid beta."""
-    values, vectors = _eigh(h)
+def _gibbs_from_spectrum(values, vectors, beta: float):
+    """(rho, z_shifted) from H's ascending eigenvalues and eigenvectors, without checks:
+    gibbs_state before its symmetrization, for a valid beta."""
     # Python floats: a level gap or beta times it that overflows is inf, with weight 0
     e0 = float(values[0])
     weights = np.exp([-beta * (e - e0) for e in values.tolist()])
     z = float(weights.sum())
     return (vectors * (weights / z)) @ vectors.conj().T, z
+
+
+def _gibbs(h, beta: float):
+    """gibbs_state without checks or symmetrization, for an exactly Hermitian h and a valid beta."""
+    return _gibbs_from_spectrum(*_eigh(h), beta)
 
 
 def gibbs_state(h, beta: float):

@@ -119,6 +119,22 @@ def test_low_t_doubly_degenerate_formula():
     assert asym.n_op == pytest.approx(1 - (1 + math.log(2 * beta * jt)) / (beta * jt), rel=1e-14)
 
 
+def test_low_t_asymptote_is_covariant_under_powers_of_two_exactly():
+    # (c, beta) -> (2^k c, 2^-k beta) keeps beta c, so h_op scales by 2^k and n_op stays,
+    # also where beta alone, or jt / beta, is near the float edges
+    for c in (CanonicalCoupling(-1 / 3, -1 / 3, -1 / 3), CanonicalCoupling(-1 / 2, -1 / 4, -1 / 4)):
+        ref = low_t_asymptote(c, 200.0)
+        for k in range(-1000, 1001):
+            ck = CanonicalCoupling(math.ldexp(c.jx, k), math.ldexp(c.jy, k), math.ldexp(c.jz, k))
+            got = low_t_asymptote(ck, math.ldexp(200.0, -k))
+            assert (got.h_op, got.n_op, got.degeneracy) == (math.ldexp(ref.h_op, k), ref.n_op,
+                                                            ref.degeneracy), k
+    # 4 beta = 4e308 overflows in input units; beta |Jx+Jy| = 2e8 does not
+    got = low_t_asymptote(CanonicalCoupling(-1e-300, -1e-300, -1e-300), 1e308)
+    assert got.n_op == pytest.approx(1.0 - (1.0 + math.log(8e8)) / 2e8, rel=1e-14)
+    assert got.h_op == pytest.approx(math.sqrt(2e-300 / 2e308 * math.log(8e8)), rel=1e-14)
+
+
 def test_low_t_error_paths():
     with pytest.raises(AsymptoteDomainError, match="h_op = 0"):
         low_t_asymptote(CanonicalCoupling(1 / 3, 1 / 3, 1 / 3), 200.0)

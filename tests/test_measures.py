@@ -53,6 +53,17 @@ def test_partial_transpose_involution_and_trace():
     assert np.max(np.abs(pt - pt.conj().T)) <= 1e-14
 
 
+@pytest.mark.parametrize("measure", [
+    partial_transpose, negativity, concurrence, pi_measure, min_pt_eigenvalue,
+    necessary_condition, entanglement_report,
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_measures_reject_states_that_are_not_4x4(measure, n):
+    with pytest.raises(ValueError) as info:
+        measure(np.eye(n) / n)
+    assert str(info.value) == f"expected a two-qubit (4x4) matrix, got shape {(n, n)}"
+
+
 def test_bell_state_measures():
     assert min_pt_eigenvalue(BELL_SINGLET) == pytest.approx(-0.5, abs=1e-14)
     assert negativity(BELL_SINGLET) == pytest.approx(1.0, abs=1e-14)

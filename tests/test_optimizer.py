@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from scipy.optimize import brentq
 
 from entopt.asymptotics import AsymptoteDomainError, high_t_hop_exact, low_t_asymptote
-from entopt.closed_form import negativity_tilde
+from entopt.closed_form import _negativity_derivatives, negativity_tilde
 import entopt.cli as cli
 import entopt.optimizer as optimizer
 from entopt.optimizer import (
+    EnhancementPoint,
     NumericalFailure,
     _make_search_objective,
     _stationarity_scaled,
@@ -26,7 +29,7 @@ from entopt.optimizer import (
 )
 from entopt.measures import negativity
 from entopt.spin_model import CanonicalCoupling, build_hamiltonian, canonicalize
-from entopt.thermal import gibbs_state
+from entopt.thermal import _beta_from_t, gibbs_state, purity
 
 ISO = CanonicalCoupling(1 / 3, 1 / 3, 1 / 3)
 FIG3 = CanonicalCoupling(1 / 2, 1 / 3, 1 / 6)
@@ -172,6 +175,12 @@ def test_field_bracket_top_is_capped_below_the_float_maximum():
     message = str(exc.value)
     assert "at the top; the optimal field lies past the cap h / s = 2^1022)" in message
     assert "nan" not in message and "inf" not in message
+    # with s = 4 the capped top is past the float maximum in input units: it is named in units of s
+    with pytest.raises(NumericalFailure) as exc:
+        optimal_field(CanonicalCoupling(2.0, 1.5, 0.5), 1e-306)
+    message = str(exc.value)
+    assert "bracket h / s in [0, 4.4942328371557898e+307] with s = 4" in message
+    assert "inf" not in message
 
 
 def test_degenerate_h_op_matches_low_t_asymptote():
@@ -489,7 +498,7 @@ def test_numerical_failure_names_coupling_beta_and_bracket(monkeypatch):
     assert "no field bracket" in message
     assert "(0.5, 0.33333333333333331, 0.16666666666666666)" in message
     assert "beta = 0.25" in message
-    assert "bracket [0, " in message
+    assert "bracket h / s in [0, " in message
 
     monkeypatch.undo()
     monkeypatch.setattr(optimizer, "negativity_tilde", lambda c, h, beta: h * h)
@@ -510,7 +519,8 @@ def test_solvers_raise_when_brent_does_not_converge(monkeypatch):
         optimal_field(FIG3, 0.25)
     message = str(exc.value)
     assert "field root search failed (no convergence after 200 iterations)" in message
-    assert "(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, bracket [0, " in message
+    assert ("(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, "
+            "bracket h / s in [0, ") in message
     with pytest.raises(NumericalFailure) as exc:
         boundary_temperature(FIG3)
     message = str(exc.value)
@@ -533,7 +543,8 @@ def test_solvers_report_a_nan_stationarity_as_numerical_failure(monkeypatch):
     message = str(exc.value)
     assert "field root search failed (The function value at x=" in message
     assert "is NaN" in message
-    assert "(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, bracket [0, " in message
+    assert ("(0.5, 0.33333333333333331, 0.16666666666666666) at beta = 0.25, "
+            "bracket h / s in [0, ") in message
     monkeypatch.setattr(optimizer, "_stationarity_scaled", nan_inside_the_bracket())
     with pytest.raises(NumericalFailure) as exc:
         boundary_temperature(FIG3)
@@ -681,6 +692,61 @@ def test_derivative_columns_match_finite_difference_oracle(c):
         d1, d2, n, dt = central_difference_derivatives(c, row.t)
         assert abs(row.dn_op_dt - d1) <= 1e-6 * abs(d1) + 4.0 * eps * n / dt
         assert abs(row.d2n_op_dt2 - d2) <= 1e-4 * abs(d2) + 16.0 * eps * n / dt**2
+
+
+def per_row_gibbs_curve(c, temps):
+    """enhancement_curve with the zero-field spectrum taken in every row: two Hamiltonians
+    built and two gibbs_state eigensolves per row, the field added through build_hamiltonian."""
+    s, unit_c = c.unit
+    rows = []
+    for t in map(float, temps):
+        beta = _beta_from_t(t)
+        res = optimal_field(c, beta)
+        u, bs = res.h_op / s, beta * s
+        n_zero = max(negativity_tilde(unit_c, 0.0, bs), 0.0)
+        rho_op, _ = gibbs_state(build_hamiltonian(unit_c.diagonal, (0, 0, u), (0, 0, -u)), bs)
+        rho_zero, _ = gibbs_state(build_hamiltonian(unit_c.diagonal), bs)
+        d1 = d2 = 0.0
+        if res.n_op > 0.0:
+            n_b, n_bb, jn_bj, j2n_jj = _negativity_derivatives(unit_c, u, bs)
+            if res.phase == "high_t":
+                n_bb -= jn_bj * jn_bj / j2n_jj
+            d1 = -beta * (bs * n_b) + 0.0
+            d2 = beta * (beta * (bs * (bs * n_bb + 2.0 * n_b))) + 0.0
+        rows.append(EnhancementPoint(
+            t, res.h_op, res.n_op, n_zero, res.n_op - n_zero, purity(rho_op), purity(rho_zero),
+            d1, d2, res.phase,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("c", SWEEP_CLASSES, ids=["afm", "fm", "fm_degenerate", "jx_jy"])
+def test_sweep_rows_match_the_per_row_gibbs_oracle(c, scale):
+    # H0 + u (s1^z - s2^z) rounds the field entries differently from build_hamiltonian's
+    # 15-term sum, which moves purity_op by a few eps; every other column keeps its bits
+    c = CanonicalCoupling(c.jx * scale, c.jy * scale, c.jz * scale)
+    temps = scale * np.geomspace(0.01, 10.0, 60)
+    for got, want in zip(enhancement_curve(c, temps), per_row_gibbs_curve(c, temps), strict=True):
+        assert abs(got.purity_op - want.purity_op) <= 1e-14, got.t
+        assert dataclasses.replace(got, purity_op=want.purity_op) == want
+
+
+def test_a_sweep_makes_one_eigensolve_per_row_and_one_at_zero_field(monkeypatch):
+    calls = []
+    eigh = optimizer._eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "entopt" and getattr(module, "_eigh", None) is eigh:
+            monkeypatch.setattr(module, "_eigh", counted)
+    for n in (0, 1, 7, 40):
+        calls.clear()
+        assert len(enhancement_curve(FIG3, np.geomspace(0.05, 5.0, n))) == n
+        assert len(calls) == n + 1
 
 
 def test_derivative_columns_print_zero_not_negative_zero(capsys):
@@ -868,6 +934,17 @@ def test_verify_hypothesis_search_finds_optimum_unseeded(monkeypatch):
     for j, beta, seed in (configs[i] for i in (0, 6, 28)):
         report = verify_hypothesis1(j, beta, restarts=64, seed=seed)
         assert report.unconstrained_best >= report.constrained_best - 1e-9
+
+
+def test_verify_hypothesis_raises_when_best_fields_overflow_in_input_units(monkeypatch):
+    # s = 2^1023 on this coupling, so a search that ends at fields 4 in units of s ends past
+    # the float maximum in input units
+    fields = np.full(6, 4.0)
+    monkeypatch.setattr(optimizer, "minimize", lambda fun, x0: SimpleNamespace(
+        x=fields, fun=fun(fields), success=True))
+    with pytest.raises(NumericalFailure, match="best fields overflow in input units") as exc:
+        verify_hypothesis1(np.diag([1e308, 5e307, 1e307]), 1e-308, restarts=1)
+    assert "for coupling (1e+308, 5.0000000000000001e+307, 1.0000000000000001e+307)" in str(exc.value)
 
 
 def test_verify_hypothesis_deterministic():
