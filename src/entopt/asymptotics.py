@@ -69,7 +69,7 @@ class LowTAsymptote:
     degeneracy: str  # "doubly" or "triply"
 
     def __post_init__(self):
-        if not (math.isfinite(self.h_op) and math.isfinite(self.n_op)):  # beta |Jx+Jy| overflows
+        if not (math.isfinite(self.h_op) and math.isfinite(self.n_op)):  # h_op past the float maximum
             raise NumericalFailure(f"low-temperature asymptote overflows ({self.h_op!r}, {self.n_op!r})")
 
 
@@ -127,7 +127,12 @@ def low_t_asymptote(c: CanonicalCoupling, beta: float) -> LowTAsymptote:
             f"low-temperature asymptote needs 2 beta |Jx+Jy| > 1, got {2.0 * bs * jt}"
         )
     tag = "triply" if unit_c.jx == unit_c.jy else "doubly"
-    log_term = math.log((4.0 if tag == "triply" else 2.0) * bs * jt)
+    k = 4.0 if tag == "triply" else 2.0
+    if k * bs * jt == math.inf:  # k beta s jt overflows, h_op need not: logs and roots apart
+        log_term = math.log(k * jt) + math.log(beta) + math.log(s)
+        h_op = math.sqrt(s / 2.0 * jt) * math.sqrt(log_term / beta)
+        return LowTAsymptote(h_op=h_op, n_op=1.0, degeneracy=tag)  # 1 - O(log_term / 1e308)
+    log_term = math.log(k * bs * jt)
     h_op = s * math.sqrt(jt / (2.0 * bs) * log_term)
     n_op = 1.0 - (1.0 + log_term) / (bs * jt)
     return LowTAsymptote(h_op=h_op, n_op=n_op, degeneracy=tag)

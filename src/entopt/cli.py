@@ -161,7 +161,7 @@ def _cmd_canonicalize(args) -> None:
         "sign_class": c.sign_class,
         "det_r1": float(np.linalg.det(c.r1)),
         "det_r2": float(np.linalg.det(c.r2)),
-        "spectrum_residual": float(np.max(np.abs(np.sort(original) - np.sort(rotated)))),
+        "spectrum_residual": float(np.max(np.abs(original - rotated))),  # both ascending
     }
     _write_record(args, {"command": "canonicalize", "coupling": j.tolist()}, record)
 

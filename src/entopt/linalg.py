@@ -1,4 +1,4 @@
-"""Dense linear algebra for 4x4 Hermitian operators."""
+"""Dense linear algebra for two-qubit operators: require_hermitian gates every 4x4 matrix argument."""
 
 from __future__ import annotations
 
@@ -16,22 +16,24 @@ class NumericalFailure(RuntimeError):
     """A lost result: no bracket, no convergence, a LAPACK failure or an overflow."""
 
 
-class NonHermitianError(ValueError):
-    """Raised when a matrix fails the Hermiticity check."""
+def _two_qubit(m) -> np.ndarray:
+    """m itself, an array, checked to be 4x4."""
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
+    return m
 
 
 def require_hermitian(m) -> np.ndarray:
-    """M made exactly Hermitian, (M + M^dagger)/2, after checking it within HERMITICITY_RTOL.
+    """M made exactly Hermitian, (M + M^dagger)/2, after checking that it is a finite
+    4x4 matrix, Hermitian within HERMITICITY_RTOL; ValueError otherwise.
 
     The result may be M itself: an exactly Hermitian complex M is returned as it is."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
+    m = _two_qubit(np.asarray(m, dtype=complex))
     mh = m.conj().T
     # NaN or inf for a non-finite entry, and inf for a finite 1e308+1e308j
     scale = float(np.abs(m).max())
     if not scale <= _SCALE_MAX:
-        raise NonHermitianError(
+        raise ValueError(
             "matrix has non-finite entries or entries that overflow M + M^dagger "
             f"(largest modulus {scale:.3e})"
         )
@@ -39,7 +41,7 @@ def require_hermitian(m) -> np.ndarray:
         return m
     defect = float(np.abs(m - mh).max())
     if defect > HERMITICITY_RTOL * scale:
-        raise NonHermitianError(
+        raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
@@ -80,9 +82,9 @@ def _svd(m):
 
 
 def hermitian_eigen(m):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a two-qubit Hermitian matrix.
 
     Returns (values, vectors) with values ascending and vectors as orthonormal
-    columns. Non-Hermitian input is rejected with the measured defect norm.
+    columns. A matrix that is not 4x4, finite and Hermitian is a ValueError.
     """
     return _eigh(require_hermitian(m))

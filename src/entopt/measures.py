@@ -15,21 +15,9 @@ _FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 _PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def _two_qubit(m) -> np.ndarray:
-    """m itself, checked to be 4x4."""
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
-    return m
-
-
-def _state(rho) -> np.ndarray:
-    """rho made exactly Hermitian by require_hermitian, and checked to be 4x4."""
-    return _two_qubit(require_hermitian(rho))
-
-
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the first qubit's indices; involutive and trace preserving."""
-    return _state(rho).take(_PT_INDEX)
+    return require_hermitian(rho).take(_PT_INDEX)
 
 
 def _pt_spectrum(rho) -> np.ndarray:
@@ -59,7 +47,7 @@ def _pi(pt_values) -> float:
 
 
 def min_pt_eigenvalue(rho) -> float:
-    return float(_pt_spectrum(_state(rho))[0])
+    return float(_pt_spectrum(require_hermitian(rho))[0])
 
 
 def negativity(rho) -> float:
@@ -69,7 +57,7 @@ def negativity(rho) -> float:
     eigenvalue, so this equals the trace-norm definition ||rho^T1||_1 - 1.
     lambda_min counts as negative below -16 eps lambda_max, relative to the state's own scale.
     """
-    return _negativity(_pt_spectrum(_state(rho)))
+    return _negativity(_pt_spectrum(require_hermitian(rho)))
 
 
 def concurrence(rho) -> float:
@@ -81,7 +69,6 @@ def concurrence(rho) -> float:
     precision loss of rooting near-zero eigenvalues.
     """
     values, vectors = hermitian_eigen(rho)
-    _two_qubit(vectors)  # rho's shape: hermitian_eigen checks only that rho is square
     s = np.sqrt(np.maximum(values, 0.0))  # roundoff can leave tiny negatives
     sqrt_rho = (vectors * s) @ vectors.conj().T
     m = (sqrt_rho.conj()[::-1, ::-1] * _FLIP_SIGN) @ sqrt_rho
@@ -91,7 +78,7 @@ def concurrence(rho) -> float:
 
 def pi_measure(rho) -> float:
     """Determinant-based quantifier: 2 |det rho^T1|^(1/4) when rho^T1 < 0, else 0."""
-    return _pi(_pt_spectrum(_state(rho)))
+    return _pi(_pt_spectrum(require_hermitian(rho)))
 
 
 def necessary_condition(rho) -> bool:
@@ -101,7 +88,7 @@ def necessary_condition(rho) -> bool:
     with nonzero negativity satisfies both inequalities; separable states may
     fail them. Both hold within an absolute slack of 1e-12.
     """
-    values = _eigh(_state(rho), vectors=False)[0].tolist()
+    values = _eigh(require_hermitian(rho), vectors=False)[0].tolist()
     l4, l3, l2, l1 = (max(v, 0.0) for v in values)
     mid = l3 + 2.0 * math.sqrt(l2 * l4)
     return l1 + 1e-12 >= mid and mid + 1e-12 >= 3.0 * l4
@@ -117,6 +104,6 @@ class EntanglementReport:
 
 def entanglement_report(rho) -> EntanglementReport:
     """All three measures of one state from a single partial-transpose eigensolve."""
-    rho = _state(rho)
+    rho = require_hermitian(rho)
     values = _pt_spectrum(rho)
     return EntanglementReport(_negativity(values), concurrence(rho), _pi(values), float(values[0]))

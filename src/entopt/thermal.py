@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .linalg import NumericalFailure, _eigh, require_hermitian
+from .linalg import NumericalFailure, _eigh, _two_qubit, require_hermitian
 
 
 def _validate_beta(beta: float) -> float:
@@ -53,8 +53,8 @@ def gibbs_state(h, beta: float):
 
 
 def purity(rho) -> float:
-    """tr(rho^2), between 1/4 (maximally mixed) and 1 (pure)."""
-    rho = np.asarray(rho)
+    """tr(rho^2) of a 4x4 state, 1/4 (maximally mixed) to 1 (pure); ValueError for other shapes."""
+    rho = _two_qubit(np.asarray(rho))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         p = float(rho.dot(rho).trace().real)  # the bits of rho @ rho, with less overhead
     if not math.isfinite(p):

@@ -135,6 +135,18 @@ def test_low_t_asymptote_is_covariant_under_powers_of_two_exactly():
     assert got.h_op == pytest.approx(math.sqrt(2e-300 / 2e308 * math.log(8e8)), rel=1e-14)
 
 
+@pytest.mark.parametrize("c,h_ref", [
+    # h_op = sqrt(|Jx+Jy| / (2 beta) log(k beta |Jx+Jy|)) from 40-digit mpmath
+    (CanonicalCoupling(-1e300, -1e300, -1e300), 2.6755949251892260898e146),
+    (CanonicalCoupling(-1e300, -5e299, -5e299), 2.3155452777642175313e146),
+], ids=["triply", "doubly"])
+def test_low_t_asymptote_where_beta_s_overflows(c, h_ref):
+    # beta s ~ 1e310 overflows; h_op ~ 1e146 does not, and n_op is 1 to rounding
+    got = low_t_asymptote(c, 1e10)
+    assert got.h_op == pytest.approx(h_ref, rel=1e-15)
+    assert got.n_op == 1.0
+
+
 def test_low_t_error_paths():
     with pytest.raises(AsymptoteDomainError, match="h_op = 0"):
         low_t_asymptote(CanonicalCoupling(1 / 3, 1 / 3, 1 / 3), 200.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -452,3 +453,24 @@ def test_readme_config_hash_and_header(argv, digest, header, tmp_path, monkeypat
         assert payload.pop("config_hash") == digest
         payload.pop("config")
         assert ",".join(sorted(payload)) == header
+
+
+# SHA-256 of the full output of the README commands that call no LAPACK routine and no
+# SIMD ufunc (closed forms and Brent solves in Python floats), so their bytes are the same
+# on every platform; the other README commands are checked by their headers above.
+README_OUTPUT_DIGESTS = [
+    (["boundary", "--diag", ISO_README],
+     "f380882986a7be33c1c1f6732c96412125852da83ba3b5865e0bc54a4c135edc"),
+    (["phase-diagram", "--class", "afm", "--grid-min", "1", "--grid-max", "10", "--grid-step", "0.5"],
+     "649cc5b6227b6ba8bd696e57232f0b539cda85bb29e5f95229189512a2e69be6"),
+    (["phase-diagram", "--class", "fm", "--grid-min", "1", "--grid-max", "10", "--grid-step", "0.5"],
+     "839395ca8257a8bc038f565aeef888ac6a9f76c5190188a59baefc6b07a6d30c"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,sha256", README_OUTPUT_DIGESTS, ids=["boundary", "phase-diagram-afm", "phase-diagram-fm"]
+)
+def test_readme_output_bytes_are_pinned(argv, sha256, capsys):
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

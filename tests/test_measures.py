@@ -19,7 +19,7 @@ from entopt.measures import (
     pi_measure,
 )
 from entopt.spin_model import SIGMA_Y, CanonicalCoupling, build_hamiltonian
-from entopt.thermal import gibbs_state
+from entopt.thermal import gibbs_state, purity
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -55,7 +55,8 @@ def test_partial_transpose_involution_and_trace():
 
 @pytest.mark.parametrize("measure", [
     partial_transpose, negativity, concurrence, pi_measure, min_pt_eigenvalue,
-    necessary_condition, entanglement_report,
+    necessary_condition, entanglement_report, hermitian_eigen, purity,
+    pytest.param(lambda m: gibbs_state(m, 1.0), id="gibbs_state"),
 ])
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_measures_reject_states_that_are_not_4x4(measure, n):
